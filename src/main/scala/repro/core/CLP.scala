@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.{ArrayType, MapType, StructType}
 
 import repro.stats.StatsCatalog.qcol
 
@@ -11,17 +12,12 @@ import repro.stats.StatsCatalog.qcol
   * @param t               max rows sampled from the child per probe
   * @param seed            RNG seed; probes are deterministic in (seed, edge)
   * @param pivotCandidates how many leading child values to draw a pivot from
-  * @param parentFiltered  if true, use the paper's two-sided variant: apply the
-  *                        same WHERE filter on the parent and check containment
-  *                        between the two samples (`s_A ⊆ s_B`), which holds iff
-  *                        the filter is a WHERE predicate and `A ⊆ B`
   */
 final case class CLPConfig(
     s: Int = 4,
     t: Int = 10,
     seed: Long = 42,
     pivotCandidates: Int = 64,
-    parentFiltered: Boolean = false,
     parallelism: Int = 8,
 )
 
@@ -44,6 +40,10 @@ final case class CLPResult(
   * footnote 6). Any sampled row missing from x disproves `y ⊆ x` and the
   * edge is pruned. True containment edges can never be pruned: every row of
   * y, sampled or not, is present in x.
+  *
+  * Search columns are drawn from the scalar leaves only: an array (or a map,
+  * flattened to sorted entries) has no literal to filter by. Such leaves
+  * still take part in the join.
   */
 object CLP {
 
@@ -106,7 +106,11 @@ object CLP {
     if (common.isEmpty) return (false, 0L, 0L)
 
     val rng = new scala.util.Random(cfg.seed ^ (e.parent + "→" + e.child).hashCode.toLong)
-    val searchCols = rng.shuffle(common).take(math.max(1, cfg.s))
+    val scalar = common.filter(c => childDf.schema(c).dataType match {
+      case _: ArrayType | _: MapType | _: StructType => false
+      case _                                         => true
+    })
+    val searchCols = rng.shuffle(scalar).take(math.max(1, cfg.s))
     val commonCols: Seq[Column] = common.map(qcol)
 
     var probes = 0L
@@ -124,12 +128,8 @@ object CLP {
       }
       if (candidates.nonEmpty) {
         val pivot = candidates(rng.nextInt(candidates.length))
-        val filter = qcol(c) === lit(pivot)
-        val sample = childDf.where(filter).select(commonCols: _*).limit(cfg.t).alias("l")
-        val parentSide =
-          (if (cfg.parentFiltered) parentDf.where(filter) else parentDf)
-            .select(commonCols: _*)
-            .alias("r")
+        val sample = childDf.where(qcol(c) === lit(pivot)).select(commonCols: _*).limit(cfg.t).alias("l")
+        val parentSide = parentDf.select(commonCols: _*).alias("r")
         val cond = common.map(t => col(s"l.`$t`") <=> col(s"r.`$t`")).reduce(_ && _)
         // Tables here are small in absolute terms; hint the probe join so the
         // globally-disabled auto-broadcast does not force a full shuffle.

@@ -14,8 +14,13 @@ final case class R2D2State(
 )
 
 object R2D2State {
+  /** The state after `run` over `datasets`; the frames are flattened, as the
+    * run's own were, so they match the run's schema tokens.
+    */
   def fromRun(datasets: Map[String, DataFrame], run: R2D2Run): R2D2State =
-    R2D2State(datasets, run.schemas, run.catalog, run.sgb.clusters, run.containmentGraph)
+    R2D2State(
+      datasets.map { case (n, df) => n -> StatsCatalog.flatten(df) },
+      run.schemas, run.catalog, run.sgb.clusters, run.containmentGraph)
 }
 
 /** Dynamic updates (§7.1) — each operation is linear in the number of
@@ -23,15 +28,10 @@ object R2D2State {
   */
 object DynamicUpdates {
 
-  /** Check one candidate directed edge parent → child with MMP then CLP. */
-  private def candidateSurvives(st: R2D2State, parent: String, child: String, cfg: CLPConfig): Boolean = {
-    if (MMP.violates(st.catalog(parent), st.catalog(child))) false
-    else {
-      val e = Edge(parent, child)
-      val (doPrune, _, _) =
-        CLP.checkEdge(e, st.dfs(parent), st.dfs(child), st.schemas(parent), st.schemas(child), cfg)
-      !doPrune
-    }
+  /** The candidate edges that survive MMP then CLP, as in [[R2D2.run]]. */
+  private def verify(st: R2D2State, candidates: Seq[Edge], cfg: CLPConfig): Set[Edge] = {
+    val mmp = MMP.prune(ContainmentGraph(st.dfs.keys, candidates), st.catalog(_))
+    CLP.prune(mmp.graph, st.dfs(_), st.schemas(_), cfg).graph.edges
   }
 
   /** Add a new dataset: place it in the SGB clustering (new member of every
@@ -41,10 +41,9 @@ object DynamicUpdates {
     */
   def addDataset(st0: R2D2State, name: String, df: DataFrame, cfg: CLPConfig = CLPConfig()): (R2D2State, Long) = {
     require(!st0.dfs.contains(name), s"dataset $name already present")
-    val flat = StatsCatalog.flatten(df)
+    val flat = R2D2.ingest(st0.catalog, name, df)
     val schema = SchemaSet.fromStruct(flat.schema)
-    st0.catalog.ingest(name, flat)
-    var st = st0.copy(
+    val st = st0.copy(
       dfs = st0.dfs + (name -> flat),
       schemas = st0.schemas + (name -> schema),
       graph = st0.graph.addNode(name),
@@ -68,15 +67,13 @@ object DynamicUpdates {
         (st.clusters :+ SGBResult.Cluster(name, name +: members), members)
       }
 
-    var g = st.graph
-    for (other <- candidates if other != name) {
+    val edges = candidates.filter(_ != name).flatMap { other =>
       val so = st.schemas(other)
-      if (schema.subsetOf(so) && candidateSurvives(st.copy(clusters = clusters), other, name, cfg))
-        g = g.addEdge(Edge(other, name))
-      if (so.subsetOf(schema) && candidateSurvives(st.copy(clusters = clusters), name, other, cfg))
-        g = g.addEdge(Edge(name, other))
+      (if (schema.subsetOf(so)) Seq(Edge(other, name)) else Nil) ++
+        (if (so.subsetOf(schema)) Seq(Edge(name, other)) else Nil)
     }
-    (st.copy(clusters = clusters, graph = g), examined)
+    val verified = verify(st, edges, cfg)
+    (st.copy(clusters = clusters, graph = st.graph.copy(edges = st.graph.edges ++ verified)), examined)
   }
 
   /** Delete a dataset: drop its node, incident edges and cluster slots. */
@@ -113,21 +110,14 @@ object DynamicUpdates {
       incomingSide: Boolean,
   ): (R2D2State, Long) = {
     require(st0.dfs.contains(name), s"unknown dataset $name")
-    val flat = StatsCatalog.flatten(newDf)
-    st0.catalog.ingest(name, flat)
-    val st = st0.copy(dfs = st0.dfs + (name -> flat))
+    val st = st0.copy(dfs = st0.dfs + (name -> R2D2.ingest(st0.catalog, name, newDf)))
     val schema = st.schemas(name)
-    var examined = 0L
-    var edges = st.graph.edges.filterNot(e => if (incomingSide) e.child == name else e.parent == name)
-    for (other <- st.schemas.keys.toSeq.sorted if other != name) {
-      examined += 1
-      val so = st.schemas(other)
-      if (incomingSide) {
-        if (schema.subsetOf(so) && candidateSurvives(st, other, name, cfg)) edges += Edge(other, name)
-      } else {
-        if (so.subsetOf(schema) && candidateSurvives(st, name, other, cfg)) edges += Edge(name, other)
-      }
+    val others = st.schemas.keys.toSeq.sorted.filter(_ != name)
+    val candidates = others.collect {
+      case other if incomingSide && schema.subsetOf(st.schemas(other))  => Edge(other, name)
+      case other if !incomingSide && st.schemas(other).subsetOf(schema) => Edge(name, other)
     }
-    (st.copy(graph = ContainmentGraph(st.graph.nodes, edges)), examined)
+    val kept = st.graph.edges.filterNot(e => if (incomingSide) e.child == name else e.parent == name)
+    (st.copy(graph = st.graph.copy(edges = kept ++ verify(st, candidates, cfg))), others.size.toLong)
   }
 }

@@ -22,9 +22,14 @@ final case class TableData(name: String, columns: Seq[String], rows: Array[Array
 
 object TableData {
   /** Canonical cell formatting — identical values collected twice must
-    * stringify identically (they do: cells are copies, not recomputations).
+    * stringify identically. Byte arrays render by content, in hex: their
+    * `toString` is an identity hash.
     */
-  def cell(v: Any): String = if (v == null) "∅" else v.toString
+  def cell(v: Any): String = v match {
+    case null           => "∅"
+    case b: Array[Byte] => java.util.HexFormat.of().formatHex(b)
+    case _              => v.toString
+  }
 
   def fromDf(name: String, df: DataFrame): TableData = {
     val cols = df.columns.toSeq

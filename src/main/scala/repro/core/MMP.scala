@@ -22,28 +22,26 @@ final case class MMPResult(graph: ContainmentGraph, pruned: Set[Edge], opCount: 
   */
 object MMP {
 
-  /** True iff the edge must be pruned (child range escapes parent range). */
-  def violates(parent: DatasetStats, child: DatasetStats, useStringStats: Boolean = true): Boolean = {
+  /** True iff the edge must be pruned (child range escapes parent range).
+    * Strings compare in Spark's own order, the one their stats were taken in.
+    */
+  def violates(parent: DatasetStats, child: DatasetStats): Boolean = {
     val common = parent.cols.keySet.intersect(child.cols.keySet)
     common.exists { c =>
       (parent.cols(c), child.cols(c)) match {
         case (NumStats(pMin, pMax), NumStats(cMin, cMax)) => pMin > cMin || pMax < cMax
-        case (StrStats(pMin, pMax), StrStats(cMin, cMax)) if useStringStats =>
-          pMin > cMin || pMax < cMax
+        case (StrStats(pMin, pMax), StrStats(cMin, cMax)) =>
+          StrStats.order.gt(pMin, cMin) || StrStats.order.lt(pMax, cMax)
         case _ => false // mixed or unusable stats — cannot safely prune
       }
     }
   }
 
-  def prune(
-      graph: ContainmentGraph,
-      stats: String => DatasetStats,
-      useStringStats: Boolean = true,
-  ): MMPResult = {
+  def prune(graph: ContainmentGraph, stats: String => DatasetStats): MMPResult = {
     var ops = 0L
     val pruned = graph.edges.filter { e =>
       ops += 1
-      violates(stats(e.parent), stats(e.child), useStringStats)
+      violates(stats(e.parent), stats(e.child))
     }
     MMPResult(graph.removeEdges(pruned), pruned, ops)
   }

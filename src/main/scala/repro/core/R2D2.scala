@@ -4,13 +4,25 @@ import org.apache.spark.sql.DataFrame
 
 import repro.stats.StatsCatalog
 
-/** Mutable-free snapshot of a full R2D2 run over a set of datasets. */
+/** Wall-clock milliseconds of each stage of one run. `pipelineMs` leaves out
+  * ingest, as the paper's Table 5 does.
+  */
+final case class StageTimings(ingestMs: Long, sgbMs: Long, mmpMs: Long, clpMs: Long) {
+  def pipelineMs: Long = sgbMs + mmpMs + clpMs
+}
+
+/** Mutable-free snapshot of a full R2D2 run over a set of datasets.
+  *
+  * @param dfs the flattened frames the stages ran on, keyed by dataset
+  */
 final case class R2D2Run(
+    dfs: Map[String, DataFrame],
     schemas: Map[String, SchemaSet],
     catalog: StatsCatalog,
     sgb: SGBResult,
     mmp: MMPResult,
     clp: CLPResult,
+    timings: StageTimings,
 ) {
   /** The final containment graph: an edge parent → child asserts, with high
     * probability, that the child is fully contained in the parent.
@@ -24,18 +36,35 @@ final case class R2D2Run(
   * containment edge (Theorem 4.1 for SGB; exact stats for MMP; sampling from
   * the child for CLP) — so recall is preserved end to end while the incorrect
   * edge count shrinks at every stage.
+  *
+  * [[run]] is the only entry point of the whole pipeline; the §7.1 updates in
+  * [[DynamicUpdates]] reuse its [[ingest]] step and its MMP and CLP stages.
   */
 object R2D2 {
 
+  private def timed[A](f: => A): (A, Long) = {
+    val t0 = System.nanoTime()
+    val a = f
+    (a, (System.nanoTime() - t0) / 1000000)
+  }
+
   def run(datasets: Seq[(String, DataFrame)], clpCfg: CLPConfig = CLPConfig()): R2D2Run = {
-    val flat = datasets.map { case (n, df) => n -> StatsCatalog.flatten(df) }
-    val schemas = flat.map { case (n, df) => n -> SchemaSet.fromStruct(df.schema) }
     val catalog = new StatsCatalog
-    flat.foreach { case (n, df) => catalog.ingest(n, df) }
-    val sgb = SGB.build(schemas)
-    val mmp = MMP.prune(sgb.graph, catalog(_))
-    val dfMap = flat.toMap
-    val clp = CLP.prune(mmp.graph, dfMap(_), schemas.toMap, clpCfg)
-    R2D2Run(schemas.toMap, catalog, sgb, mmp, clp)
+    val (flat, ingestMs) = timed(datasets.map { case (n, df) => n -> ingest(catalog, n, df) })
+    val schemas = flat.map { case (n, df) => n -> SchemaSet.fromStruct(df.schema) }
+    val dfs = flat.toMap
+    val (sgb, sgbMs) = timed(SGB.build(schemas))
+    val (mmp, mmpMs) = timed(MMP.prune(sgb.graph, catalog(_)))
+    val (clp, clpMs) = timed(CLP.prune(mmp.graph, dfs(_), schemas.toMap, clpCfg))
+    R2D2Run(dfs, schemas.toMap, catalog, sgb, mmp, clp, StageTimings(ingestMs, sgbMs, mmpMs, clpMs))
+  }
+
+  /** §4.1 step 1 for one dataset: flatten it and register its stats under
+    * `name`. Returns the flattened frame, which every later stage reads.
+    */
+  def ingest(catalog: StatsCatalog, name: String, df: DataFrame): DataFrame = {
+    val flat = StatsCatalog.flatten(df)
+    catalog.ingest(name, flat)
+    flat
   }
 }

@@ -1,6 +1,8 @@
 package repro.core
 
-import org.apache.spark.sql.types.{ArrayType, DataType, MapType, StructType}
+import org.apache.spark.sql.Column
+import org.apache.spark.sql.functions.{array_sort, col, map_entries}
+import org.apache.spark.sql.types.{DataType, MapType, StructType}
 
 /** A flattened schema set, as used throughout the R2D2 pipeline (§4.1 step 1).
   *
@@ -25,23 +27,25 @@ final case class SchemaSet(tokens: Set[String]) {
 object SchemaSet {
   def apply(tokens: Iterable[String]): SchemaSet = SchemaSet(tokens.toSet)
 
-  /** Flatten a (possibly nested) Spark schema into dotted tokens.
+  /** The one schema flattener (§4.1 step 1): each leaf's dotted token and
+    * the column that projects it out of a frame of this schema.
     *
-    * Struct fields recurse with a `parent.child` prefix; array-of-struct
-    * elements flatten through the array (the element schema is what matters
-    * for containment); other types contribute their own path.
+    * Struct fields recurse with a `parent.child` prefix; every other type,
+    * arrays and maps included, is a leaf. A map leaf is projected as its
+    * sorted entries, `array_sort(map_entries(m))`: maps are not comparable
+    * in Spark, sorted entry arrays are, and equal maps give equal arrays
+    * whatever their insertion order.
     */
-  def fromStruct(schema: StructType): SchemaSet = {
-    def flatten(prefix: String, dt: DataType): Seq[String] = dt match {
+  def leaves(schema: StructType): Seq[(String, Column)] = {
+    def walk(token: String, c: Column, dt: DataType): Seq[(String, Column)] = dt match {
       case st: StructType =>
-        st.fields.toSeq.flatMap { f =>
-          val path = if (prefix.isEmpty) f.name else s"$prefix.${f.name}"
-          flatten(path, f.dataType)
-        }
-      case at: ArrayType => flatten(prefix, at.elementType)
-      case mt: MapType   => flatten(prefix, mt.valueType)
-      case _             => Seq(prefix)
+        st.fields.toSeq.flatMap(f => walk(s"$token.${f.name}", c.getField(f.name), f.dataType))
+      case _: MapType => Seq(token -> array_sort(map_entries(c)))
+      case _          => Seq(token -> c)
     }
-    SchemaSet(flatten("", schema).toSet)
+    schema.fields.toSeq.flatMap(f => walk(f.name, col(s"`${f.name}`"), f.dataType))
   }
+
+  /** The flattened schema set of a (possibly nested) Spark schema. */
+  def fromStruct(schema: StructType): SchemaSet = SchemaSet(leaves(schema).map(_._1))
 }

@@ -12,24 +12,26 @@ import repro.stats.StatsCatalog
   */
 final case class StageEval(correct: Int, incorrect: Int, notDetected: Int)
 
-final case class Timings(ingestMs: Long, sgbMs: Long, mmpMs: Long, clpMs: Long, gtMs: Long) {
-  def pipelineMs: Long = sgbMs + mmpMs + clpMs
-}
-
-/** Everything one lake run produces — shared by all table experiments. */
+/** Everything one lake run produces — shared by all table experiments.
+  *
+  * @param gtMs wall-clock milliseconds of the ground truth
+  */
 final case class PipelineOutput(
     lake: Lake,
-    catalog: StatsCatalog,
-    sgb: SGBResult,
-    mmp: MMPResult,
-    clp: CLPResult,
+    run: R2D2Run,
     gtSchema: ContainmentGraph,
     gtSchemaOps: Long,
     gt: GroundTruth.ContentGT,
     data: Map[String, TableData],
-    timings: Timings,
+    gtMs: Long,
     clpCfg: CLPConfig,
 ) {
+  def catalog: StatsCatalog = run.catalog
+  def sgb: SGBResult = run.sgb
+  def mmp: MMPResult = run.mmp
+  def clp: CLPResult = run.clp
+  def timings: StageTimings = run.timings
+
   def eval(g: ContainmentGraph): StageEval = StageEval(
     correct = g.edges.count(gt.graph.edges.contains),
     incorrect = g.edges.count(e => !gt.graph.edges.contains(e)),
@@ -41,19 +43,12 @@ final case class PipelineOutput(
 
   /** Re-run only CLP with different (s, t) — used by the Table 6 sweep. */
   def rerunCLP(cfg: CLPConfig): (CLPResult, StageEval) = {
-    val byName = lake.byName
-    val res = CLP.prune(mmp.graph, byName(_).df, byName(_).schema, cfg)
+    val res = CLP.prune(mmp.graph, run.dfs(_), run.schemas(_), cfg)
     (res, eval(res.graph))
   }
 }
 
 object PipelineRunner {
-
-  private def timed[A](f: => A): (A, Long) = {
-    val t0 = System.nanoTime()
-    val a = f
-    (a, (System.nanoTime() - t0) / 1000000)
-  }
 
   /** Generate the lake for `profile` and run the full pipeline + ground
     * truth, timing each stage.
@@ -63,30 +58,19 @@ object PipelineRunner {
     runOnLake(spark, lake, clpCfg)
   }
 
+  /** [[R2D2.run]] over the lake, then ground truth to evaluate it against. */
   def runOnLake(spark: SparkSession, lake: Lake, clpCfg: CLPConfig = CLPConfig()): PipelineOutput = {
-    val catalog = new StatsCatalog
-    val (_, ingestMs) = timed {
-      // One independent aggregation job per dataset — submit concurrently.
-      val stats = repro.util.Par.map(lake.datasets, clpCfg.parallelism)(d => d.name -> StatsCatalog.compute(d.df))
-      stats.foreach { case (n, s) => catalog.put(n, s) }
-    }
-
-    val (sgb, sgbMs) = timed(SGB.build(lake.schemas))
-    val (mmp, mmpMs) = timed(MMP.prune(sgb.graph, catalog(_)))
-    val byName = lake.byName
-    val (clp, clpMs) = timed(CLP.prune(mmp.graph, byName(_).df, byName(_).schema, clpCfg))
+    val run = R2D2.run(lake.datasets.map(d => d.name -> d.df), clpCfg)
 
     // Ground truth (§6.2): brute-force schema graph, then full-content check
     // per schema edge. Timed as one unit — this is the baseline R2D2 beats.
-    val ((gtSchemaGraph, gtSchemaOps, gtContent, data), gtMs) = timed {
-      val (g, ops) = GroundTruth.schemaGraph(lake.schemas)
-      val data = repro.util.Par.map(lake.datasets, clpCfg.parallelism)(d =>
-        d.name -> TableData.fromDf(d.name, d.df)).toMap
-      val content = GroundTruth.contentGraph(g, data(_))
-      (g, ops, content, data)
-    }
+    val t0 = System.nanoTime()
+    val (gtSchemaGraph, gtSchemaOps) = GroundTruth.schemaGraph(lake.schemas)
+    val data = repro.util.Par.map(lake.datasets, clpCfg.parallelism)(d =>
+      d.name -> TableData.fromDf(d.name, run.dfs(d.name))).toMap
+    val gtContent = GroundTruth.contentGraph(gtSchemaGraph, data(_))
+    val gtMs = (System.nanoTime() - t0) / 1000000
 
-    PipelineOutput(lake, catalog, sgb, mmp, clp, gtSchemaGraph, gtSchemaOps, gtContent, data,
-      Timings(ingestMs, sgbMs, mmpMs, clpMs, gtMs), clpCfg)
+    PipelineOutput(lake, run, gtSchemaGraph, gtSchemaOps, gtContent, data, gtMs, clpCfg)
   }
 }

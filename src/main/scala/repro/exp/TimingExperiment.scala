@@ -16,7 +16,7 @@ object TimingExperiment {
       def pp(f: PaperNumbers.StageTimes => String): String = p.map(f).getOrElse("-")
       Seq(
         Seq(name, "paper", pp(_.gt), pp(_.sgb), pp(_.mmp), pp(_.clp), pp(_.total)),
-        Seq(name, "ours", ms(t.gtMs), ms(t.sgbMs), ms(t.mmpMs), ms(t.clpMs), ms(t.pipelineMs)),
+        Seq(name, "ours", ms(out.gtMs), ms(t.sgbMs), ms(t.mmpMs), ms(t.clpMs), ms(t.pipelineMs)),
       )
     }
     TextTable.section(

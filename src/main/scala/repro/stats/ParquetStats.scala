@@ -43,7 +43,7 @@ object ParquetStats {
         mins(tok) = NumStats(math.min(lo, n.min), math.max(hi, n.max))
       case Some(StrStats(lo, hi)) =>
         val n = s.asInstanceOf[StrStats]
-        mins(tok) = StrStats(if (n.min < lo) n.min else lo, if (n.max > hi) n.max else hi)
+        mins(tok) = StrStats(StrStats.order.min(lo, n.min), StrStats.order.max(hi, n.max))
     }
 
     for (f <- files) {

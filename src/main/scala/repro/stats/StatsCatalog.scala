@@ -3,6 +3,9 @@ package repro.stats
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
+import org.apache.spark.unsafe.types.UTF8String
+
+import repro.core.SchemaSet
 
 /** Per-column min/max statistics, the information MMP consumes.
   *
@@ -14,6 +17,14 @@ import org.apache.spark.sql.types._
 sealed trait ColStats
 final case class NumStats(min: Double, max: Double) extends ColStats
 final case class StrStats(min: String, max: String) extends ColStats
+
+object StrStats {
+  /** Spark's string order, unsigned UTF-8 bytes: the order of Spark's
+    * `min`/`max` and of parquet footers. Scala's `String` order (UTF-16 code
+    * units) differs from it on characters outside the BMP.
+    */
+  val order: Ordering[String] = (a, b) => UTF8String.fromString(a).binaryCompare(UTF8String.fromString(b))
+}
 
 /** Statistics for one dataset: row count, size estimate and column stats
   * keyed by flattened column token.
@@ -53,41 +64,25 @@ object StatsCatalog {
   /** Quote a (possibly dotted) flattened column token for use in `col`. */
   def qcol(token: String): Column = col(s"`$token`")
 
-  /** Flattened (token, column-expression, leaf type) triples for a schema. */
-  def flatColumns(schema: StructType): Seq[(String, String, DataType)] = {
-    def walk(prefix: String, path: String, dt: DataType): Seq[(String, String, DataType)] = dt match {
-      case st: StructType =>
-        st.fields.toSeq.flatMap { f =>
-          val tok = if (prefix.isEmpty) f.name else s"$prefix.${f.name}"
-          val p = if (path.isEmpty) s"`${f.name}`" else s"$path.`${f.name}`"
-          walk(tok, p, f.dataType)
-        }
-      case _ => Seq((prefix, path, dt))
-    }
-    walk("", "", schema)
-  }
-
   /** Project a (possibly nested) DataFrame to a flat one whose column names
-    * are the flattened schema tokens (`product.price` etc.).
+    * are the flattened schema tokens (`product.price` etc.), through the one
+    * flattener, [[SchemaSet.leaves]].
     */
-  def flatten(df: DataFrame): DataFrame = {
-    val cols = flatColumns(df.schema).map { case (tok, path, _) => expr(path).as(tok) }
-    df.select(cols: _*)
-  }
+  def flatten(df: DataFrame): DataFrame =
+    df.select(SchemaSet.leaves(df.schema).map { case (tok, c) => c.as(tok) }: _*)
 
-  /** One-pass min/max/count over every orderable column of `df`. */
+  /** One-pass min/max/count over every orderable scalar leaf of `df`. */
   def compute(df: DataFrame): DatasetStats = {
-    val flat = flatColumns(df.schema)
-    val aggs = flat.flatMap { case (tok, path, dt) =>
-      val c = expr(path)
-      dt match {
+    val flat = flatten(df)
+    val aggs = flat.schema.fields.toSeq.flatMap { f =>
+      f.dataType match {
         case _: NumericType | DateType | TimestampType | BooleanType | StringType =>
-          Seq(min(c).as(s"min::$tok"), max(c).as(s"max::$tok"))
+          Seq(min(qcol(f.name)).as(s"min::${f.name}"), max(qcol(f.name)).as(s"max::${f.name}"))
         case _ => Seq.empty
       }
     } :+ count(lit(1)).as("cnt::")
 
-    val row = df.agg(aggs.head, aggs.tail: _*).collect()(0)
+    val row = flat.agg(aggs.head, aggs.tail: _*).collect()(0)
     val byName = row.schema.fieldNames.zipWithIndex.toMap
     val rowCount = row.getLong(byName("cnt::"))
 
@@ -100,10 +95,11 @@ object StatsCatalog {
       case other => throw new IllegalArgumentException(s"non-numeric stat value $other")
     }
 
-    val cols = flat.flatMap { case (tok, _, dt) =>
+    val cols = flat.schema.fields.toSeq.flatMap { f =>
+      val tok = f.name
       (byName.get(s"min::$tok"), byName.get(s"max::$tok")) match {
         case (Some(i), Some(j)) if row.get(i) != null && row.get(j) != null =>
-          dt match {
+          f.dataType match {
             case StringType => Some(tok -> StrStats(row.getString(i), row.getString(j)))
             case _          => Some(tok -> NumStats(numeric(row.get(i)), numeric(row.get(j))))
           }
@@ -111,6 +107,6 @@ object StatsCatalog {
       }
     }.toMap
 
-    DatasetStats(rowCount, rowCount * df.schema.defaultSize, cols)
+    DatasetStats(rowCount, rowCount * flat.schema.defaultSize, cols)
   }
 }

@@ -96,15 +96,26 @@ class CLPSpec extends SparkSpec {
     assert(check(parent, child, CLPConfig(s = 2, t = 10)))
   }
 
-  test("parent-filtered (two-sided) variant preserves recall on true containment") {
-    val child = li.where(col("l_returnflag") === "N").cache()
-    assert(!check(li, child, CLPConfig(parentFiltered = true)))
+  test("paper footnote 6: every column's values contained but no row is pruned") {
+    val parent = spark.createDataFrame(Seq((1, "a"), (2, "b"))).toDF("n", "s")
+    val child = spark.createDataFrame(Seq((1, "b"), (2, "a"))).toDF("n", "s")
+    assert(check(parent, child, CLPConfig(s = 2, t = 10)))
   }
 
-  test("parent-filtered variant still prunes disjoint siblings") {
-    val a = li.where(col("l_returnflag") === "N").cache()
-    val b = li.where(col("l_returnflag") === "R").cache()
-    assert(check(a, b, CLPConfig(parentFiltered = true)))
+  private lazy val collections = StatsCatalog.flatten(spark.range(30).select(
+    col("id"),
+    array(col("id"), col("id") + 1).as("xs"),
+    array(struct(col("id").as("a"), col("id").cast("string").as("b"))).as("items"),
+    map(lit("k"), col("id"), lit("j"), col("id") * 2).as("m"),
+  )).cache()
+
+  test("array and map leaves join as whole values: a row subset is kept") {
+    assert(!check(collections, collections.where(col("id") % 3 === 0), CLPConfig(s = 4, t = 30)))
+  }
+
+  test("a child that differs only in an array leaf is pruned") {
+    val shifted = collections.withColumn("xs", array(col("id"), col("id") + 2))
+    assert(check(collections, shifted, CLPConfig(s = 4, t = 30)))
   }
 
   test("probe budget respects s (probes ≤ s per edge)") {

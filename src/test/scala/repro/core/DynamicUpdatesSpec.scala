@@ -88,4 +88,12 @@ class DynamicUpdatesSpec extends SparkSpec {
     intercept[IllegalArgumentException](DynamicUpdates.rowsAdded(st0, "ghost", datasets("li")))
     intercept[IllegalArgumentException](DynamicUpdates.rowsRemoved(st0, "ghost", datasets("li")))
   }
+
+  test("fromRun flattens nested frames, so updates after a nested run resolve their columns") {
+    val nested = spark.range(20).select(struct(col("id").as("k")).as("s"), (col("id") * 2).as("v")).cache()
+    val datasets = Map("n" -> nested)
+    val st0 = R2D2State.fromRun(datasets, R2D2.run(datasets.toSeq))
+    val (st1, _) = DynamicUpdates.addDataset(st0, "half", nested.where(col("v") < 20))
+    assert(st1.graph.edges.contains(Edge("n", "half")))
+  }
 }

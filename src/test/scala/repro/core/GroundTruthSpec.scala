@@ -1,8 +1,10 @@
 package repro.core
 
-import org.scalatest.funsuite.AnyFunSuite
+import org.apache.spark.sql.functions._
 
-class GroundTruthSpec extends AnyFunSuite {
+import repro.SparkSpec
+
+class GroundTruthSpec extends SparkSpec {
 
   private def table(name: String, cols: Seq[String], rows: Seq[Seq[String]]): TableData =
     TableData(name, cols, rows.map(_.toArray).toArray)
@@ -76,5 +78,11 @@ class GroundTruthSpec extends AnyFunSuite {
     assert(gt.graph.edges == Set(Edge("p", "cIn")))
     assert(gt.fractions(Edge("p", "cOut")) == 0.5)
     assert(gt.pairwiseOps == 3L * 2 + 3L * 2)
+  }
+
+  test("binary cells compare by content: a row subset of a binary table is contained") {
+    val parent = spark.range(10).select(col("id"), col("id").cast("string").cast("binary").as("b"))
+    val child = parent.where(col("id") < 5)
+    assert(GroundTruth.containmentFraction(TableData.fromDf("c", child), TableData.fromDf("p", parent)) == 1.0)
   }
 }

@@ -1,12 +1,15 @@
 package repro.core
 
-import org.scalatest.funsuite.AnyFunSuite
+import org.apache.spark.sql.functions._
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.util.Pretty
 
-import repro.stats.{DatasetStats, NumStats, StrStats}
+import repro.SparkSpec
+import repro.stats.{DatasetStats, NumStats, StatsCatalog, StrStats}
 
 import scala.util.Random
 
-class MMPSpec extends AnyFunSuite {
+class MMPSpec extends SparkSpec {
 
   private def ds(cols: (String, Any)*): DatasetStats =
     DatasetStats(100, 1000, cols.map {
@@ -51,12 +54,6 @@ class MMPSpec extends AnyFunSuite {
     assert(!MMP.violates(ds("s" -> ("a", "z")), ds("s" -> ("b", "m"))))
   }
 
-  test("string stats can be disabled") {
-    val parent = ds("s" -> ("b", "m"))
-    val child = ds("s" -> ("a", "m"))
-    assert(!MMP.violates(parent, child, useStringStats = false))
-  }
-
   test("mixed stat kinds on the same column never prune (cannot compare safely)") {
     val parent = ds("x" -> ("a", "z"))
     val child = ds("x" -> (0.0, 1.0))
@@ -96,5 +93,34 @@ class MMPSpec extends AnyFunSuite {
       }
       assert(!MMP.violates(ds(parentRanges: _*), ds(childRanges: _*)))
     }
+  }
+
+  test("string stats compare in Spark's UTF-8 byte order, not UTF-16 order") {
+    // U+FFFD sorts above U+1F600 in UTF-16 code units, below it in UTF-8 bytes.
+    assert(!MMP.violates(ds("s" -> ("\uFFFD", "\uD83D\uDE00")), ds("s" -> ("\uD83D\uDE00", "\uD83D\uDE00"))))
+    assert(MMP.violates(ds("s" -> ("\uD83D\uDE00", "\uD83D\uDE00")), ds("s" -> ("\uFFFD", "\uD83D\uDE00"))))
+  }
+
+  /** Any Unicode scalar value: ASCII, the rest of the BMP (no surrogates) and
+    * the supplementary planes, where UTF-16 and UTF-8 orders disagree.
+    */
+  private val codePoint: Gen[Int] = Gen.frequency(
+    3 -> Gen.choose(0x20, 0x7e),
+    2 -> Gen.oneOf(Gen.choose(0x80, 0xd7ff), Gen.choose(0xe000, 0xffff)),
+    2 -> Gen.choose(0x10000, 0x10ffff),
+  )
+  private val unicode: Gen[String] =
+    Gen.choose(0, 4).flatMap(Gen.listOfN(_, codePoint)).map(cps => new String(cps.toArray, 0, cps.size))
+
+  test("property: MMP never prunes df → df.where(...) over arbitrary Unicode strings") {
+    val prop = Prop.forAllNoShrink(Gen.nonEmptyListOf(unicode), Gen.long) { (values, mask) =>
+      val parent = spark.createDataFrame(values.zipWithIndex).toDF("s", "i")
+      val keep = values.indices.filter(i => (mask >>> (i % 64) & 1L) == 0L)
+      val child = parent.where(col("i").isin(keep: _*))
+      val stats = Map("p" -> StatsCatalog.compute(parent), "c" -> StatsCatalog.compute(child))
+      MMP.prune(ContainmentGraph(stats.keys, Seq(Edge("p", "c"))), stats(_)).pruned.isEmpty
+    }
+    val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(40).withInitialSeed(20231L), prop)
+    assert(res.passed, Pretty.pretty(res))
   }
 }

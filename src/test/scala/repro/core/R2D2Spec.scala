@@ -51,4 +51,29 @@ class R2D2Spec extends SparkSpec {
     assert(r.schemas("n").tokens == Set("s.k", "v"))
     assert(r.containmentGraph.edges.contains(Edge("n", "m")))
   }
+
+  test("type matrix: nested, array, map, binary, decimal and null columns keep a true edge") {
+    def typed(m: org.apache.spark.sql.Column) = spark.range(60).select(
+      col("id"),
+      struct(col("id").as("k"), struct((col("id") * 2).as("z")).as("inner")).as("s"),
+      array(struct(col("id").as("a"), col("id").cast("string").as("b"))).as("items"),
+      array(col("id").cast("int"), (col("id") + 1).cast("int")).as("xs"),
+      m.as("m"),
+      col("id").cast("string").cast("binary").as("bin"),
+      (col("id") / 7).cast("decimal(12,4)").as("dec"),
+      lit(null).cast("string").as("nothing"),
+      when(col("id") % 3 =!= 0, col("id")).as("sometimes"),
+    )
+    val p = typed(map(lit("k"), col("id").cast("int"), lit("j"), (col("id") * 3).cast("int"))).cache()
+    // The same maps, inserted in the other order.
+    val c = typed(map(lit("j"), (col("id") * 3).cast("int"), lit("k"), col("id").cast("int")))
+      .where(col("id") % 2 === 0).cache()
+    val r = R2D2.run(Seq("p" -> p, "c" -> c))
+    assert(r.schemas("p").tokens.contains("s.inner.z") && r.schemas("p").tokens.contains("m"))
+    assert(r.containmentGraph.edges.contains(Edge("p", "c")))
+
+    val st = R2D2State.fromRun(Map("p" -> p, "c" -> c), r)
+    val (st1, _) = DynamicUpdates.addDataset(st, "low", p.where(col("id") < 20))
+    assert(st1.graph.edges.contains(Edge("p", "low")))
+  }
 }

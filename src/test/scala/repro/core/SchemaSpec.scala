@@ -28,16 +28,25 @@ class SchemaSpec extends AnyFunSuite {
     assert(SchemaSet.fromStruct(st).tokens == Set("a.b.c", "a.d"))
   }
 
-  test("array of struct flattens via its element schema") {
+  test("array of struct is a single leaf token") {
     val st = StructType(Seq(
       StructField("xs", ArrayType(StructType(Seq(StructField("y", IntegerType)))))))
-    assert(SchemaSet.fromStruct(st).tokens == Set("xs.y"))
+    assert(SchemaSet.fromStruct(st).tokens == Set("xs"))
   }
 
-  test("map value type flattens via its value schema") {
+  test("map is a single leaf token") {
     val st = StructType(Seq(
       StructField("m", MapType(StringType, StructType(Seq(StructField("v", DoubleType)))))))
-    assert(SchemaSet.fromStruct(st).tokens == Set("m.v"))
+    assert(SchemaSet.fromStruct(st).tokens == Set("m"))
+  }
+
+  test("leaves inside a struct keep their dotted token") {
+    val st = StructType(Seq(
+      StructField("s", StructType(Seq(
+        StructField("xs", ArrayType(IntegerType)),
+        StructField("m", MapType(StringType, LongType)),
+      )))))
+    assert(SchemaSet.leaves(st).map(_._1) == Seq("s.xs", "s.m"))
   }
 
   test("scalar array contributes its own path") {

@@ -58,7 +58,7 @@ class PipelineSpec extends SparkSpec {
 
   test("stage timings are recorded") {
     val t = out.timings
-    assert(t.sgbMs >= 0 && t.mmpMs >= 0 && t.clpMs > 0 && t.gtMs > 0)
+    assert(t.sgbMs >= 0 && t.mmpMs >= 0 && t.clpMs > 0 && out.gtMs > 0)
   }
 
   test("SGB is orders of magnitude cheaper than brute-force content ground truth") {

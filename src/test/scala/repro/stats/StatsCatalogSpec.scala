@@ -66,6 +66,15 @@ class StatsCatalogSpec extends SparkSpec {
     assert(flat.schema.fields.forall(!_.dataType.typeName.contains("struct")))
   }
 
+  test("flatten keeps arrays whole and projects a map as its sorted entries") {
+    val kj = spark.range(3).select(array(col("id")).as("xs"), map(lit("k"), col("id"), lit("j"), lit(0L)).as("m"))
+    val jk = spark.range(3).select(array(col("id")).as("xs"), map(lit("j"), lit(0L), lit("k"), col("id")).as("m"))
+    val flat = StatsCatalog.flatten(kj)
+    assert(flat.columns.toSeq == Seq("xs", "m"))
+    assert(flat.schema("m").dataType.typeName == "array")
+    assert(flat.collect().toSeq == StatsCatalog.flatten(jk).collect().toSeq)
+  }
+
   test("empty DataFrame yields zero rows and no column stats") {
     val empty = li.where(lit(false))
     val s = StatsCatalog.compute(empty)
