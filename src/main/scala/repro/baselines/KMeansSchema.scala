@@ -30,10 +30,12 @@ object KMeansSchema {
     if (norm > 0) v.map(_ / norm) else v
   }
 
-  /** Table embedding = mean of column embeddings. */
+  /** Table embedding = mean of column embeddings, summed in token order so
+    * the floating-point result does not depend on set iteration order.
+    */
   def embedSchema(s: SchemaSet): Array[Double] = {
     val v = new Array[Double](Dim)
-    for (t <- s.tokens; e = embedToken(t); i <- 0 until Dim) v(i) += e(i)
+    for (t <- s.tokens.toSeq.sorted; e = embedToken(t); i <- 0 until Dim) v(i) += e(i)
     if (s.tokens.nonEmpty) v.map(_ / s.tokens.size) else v
   }
 

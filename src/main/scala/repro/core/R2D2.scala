@@ -37,8 +37,10 @@ final case class R2D2Run(
   * the child for CLP) — so recall is preserved end to end while the incorrect
   * edge count shrinks at every stage.
   *
-  * [[run]] is the only entry point of the whole pipeline; the §7.1 updates in
-  * [[DynamicUpdates]] reuse its [[ingest]] step and its MMP and CLP stages.
+  * [[run]] is the only entry point of the whole pipeline. The §7.1 updates
+  * in [[DynamicUpdates]] reuse its [[ingest]] step and its MMP and CLP
+  * stages; in place of SGB's clusters they take a changed dataset's
+  * candidate edges from schema containment over all other datasets.
   */
 object R2D2 {
 

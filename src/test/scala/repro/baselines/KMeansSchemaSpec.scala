@@ -24,6 +24,14 @@ class KMeansSchemaSpec extends AnyFunSuite {
     assert(single.toSeq == KMeansSchema.embedToken("alpha").toSeq)
   }
 
+  test("schema embedding sums its tokens in sorted order, bit for bit") {
+    val tokens = (1 to 24).map(i => s"col_${(i * 7919) % 101}_x")
+    val expected = new Array[Double](KMeansSchema.Dim)
+    for (t <- tokens.sorted; e = KMeansSchema.embedToken(t); i <- expected.indices) expected(i) += e(i)
+    val mean = expected.map(_ / tokens.size)
+    assert(KMeansSchema.embedSchema(SchemaSet(tokens)).toSeq == mean.toSeq)
+  }
+
   test("kmeans separates two obvious blobs") {
     val a = Seq.fill(5)(Array(0.0, 0.0))
     val b = Seq.fill(5)(Array(10.0, 10.0))
