@@ -15,7 +15,7 @@ class Table1Bench extends BenchSpec {
     Seq("customer1", "customer2", "customer3").map(n => n -> runs(n)).toMap
 
   test("print Table 1 (paper vs measured)") {
-    report(EdgeCountExperiments.table1(spark, outs))
+    report(EdgeCountExperiments.table1(outs))
   }
 
   for (name <- Seq("customer1", "customer2", "customer3")) {

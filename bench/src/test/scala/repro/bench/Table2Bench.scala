@@ -11,7 +11,7 @@ class Table2Bench extends BenchSpec {
     Seq("tableUnion", "kaggle").map(n => n -> runs(n)).toMap
 
   test("print Table 2 (paper vs measured)") {
-    report(EdgeCountExperiments.table2(spark, outs))
+    report(EdgeCountExperiments.table2(outs))
   }
 
   test("tableUnion lake has ~300 tables, kaggle ~140 (paper corpus sizes)") {

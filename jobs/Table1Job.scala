@@ -10,7 +10,7 @@ object Table1Job {
     val spark = JobSession.create("r2d2-table1")
     val runs = new RunCache(spark, JobSession.scale(args))
     val outs = Seq("customer1", "customer2", "customer3").map(n => n -> runs(n)).toMap
-    println(EdgeCountExperiments.table1(spark, outs))
+    println(EdgeCountExperiments.table1(outs))
     spark.stop()
   }
 }

@@ -10,7 +10,7 @@ object Table2Job {
     val spark = JobSession.create("r2d2-table2")
     val runs = new RunCache(spark, JobSession.scale(args))
     val outs = Seq("tableUnion", "kaggle").map(n => n -> runs(n)).toMap
-    println(EdgeCountExperiments.table2(spark, outs))
+    println(EdgeCountExperiments.table2(outs))
     spark.stop()
   }
 }

@@ -4,33 +4,35 @@ import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.{ArrayType, MapType, StructType}
 
+import scala.collection.concurrent.TrieMap
+
 import repro.stats.StatsCatalog.qcol
 
-/** Parameters of content-level pruning (§4.3, §6.6).
+/** Parameters of content-level pruning (§4.3, §6.6): Alg. 3's `s` and `t`.
   *
-  * @param s               max number of search columns to sample WHERE-filters from
-  * @param t               max rows sampled from the child per probe
-  * @param seed            RNG seed; probes are deterministic in (seed, edge)
-  * @param pivotCandidates how many leading child values to draw a pivot from
+  * @param s    max number of search columns to sample WHERE-filters from
+  * @param t    max rows sampled from the child per probe
+  * @param seed RNG seed; probes are deterministic in (seed, edge)
   */
 final case class CLPConfig(
     s: Int = 4,
     t: Int = 10,
     seed: Long = 42,
-    pivotCandidates: Int = 64,
-    parallelism: Int = 8,
-)
+) {
+  /** How many leading child values a pivot is drawn from. */
+  val pivotCandidates: Int = 64
+  /** How many edges are probed concurrently. */
+  val parallelism: Int = repro.util.Par.Threads
+}
 
 /** Result of content-level pruning.
   *
-  * @param probeCount  number of WHERE-filter probes executed
-  * @param sampledRows total child rows drawn across all probes
+  * @param probeCount number of WHERE-filter probes executed
   */
 final case class CLPResult(
     graph: ContainmentGraph,
     pruned: Set[Edge],
     probeCount: Long,
-    sampledRows: Long,
 )
 
 /** Algorithm 3 (CLP): for each surviving edge x → y, sample up to `t` rows of
@@ -47,52 +49,33 @@ final case class CLPResult(
   */
 object CLP {
 
-  /** Memo of pivot-candidate values per (dataset, column). A dataset's
-    * leading values do not change between probes, so re-collecting them for
-    * every edge that touches the dataset would only burn Spark jobs.
-    * Thread-safe: probes run concurrently; a rare duplicate compute of the
-    * same key is harmless (same deterministic value).
-    */
-  final class PivotCache {
-    private val m = new java.util.concurrent.ConcurrentHashMap[(String, String), Array[Any]]()
-    def candidates(dataset: String, column: String)(compute: => Array[Any]): Array[Any] = {
-      val key = (dataset, column)
-      val cached = m.get(key)
-      if (cached != null) cached
-      else {
-        val v = compute
-        m.putIfAbsent(key, v)
-        m.get(key)
-      }
-    }
-  }
-
   def prune(
       graph: ContainmentGraph,
       dfs: String => DataFrame,
       schemas: String => SchemaSet,
       cfg: CLPConfig = CLPConfig(),
   ): CLPResult = {
-    val cache = new PivotCache
+    val pivots = TrieMap.empty[(String, String), Array[Any]]
     val edges = graph.edges.toSeq.sortBy(e => (e.parent, e.child))
     // Every edge check is independent (per-edge seeded RNG) and each probe is
     // a tiny one-task Spark job — run them concurrently for wall-clock speed.
-    val results = repro.util.Par.map(edges, cfg.parallelism) { e =>
-      e -> checkEdge(e, dfs(e.parent), dfs(e.child), schemas(e.parent), schemas(e.child), cfg, cache)
+    val results = repro.util.Par.map(edges) { e =>
+      e -> checkEdge(e, dfs(e.parent), dfs(e.child), schemas(e.parent), schemas(e.child), cfg, pivots)
     }
     var probes = 0L
-    var sampled = 0L
     val pruned = Set.newBuilder[Edge]
     var g = graph
-    for ((e, (doPrune, p, n)) <- results) {
+    for ((e, (doPrune, p)) <- results) {
       probes += p
-      sampled += n
       if (doPrune) { pruned += e; g = g.removeEdge(e) }
     }
-    CLPResult(g, pruned.result(), probes, sampled)
+    CLPResult(g, pruned.result(), probes)
   }
 
-  /** Probe a single edge; returns (prune?, probes run, rows sampled). */
+  /** Probe a single edge; returns (prune?, probes run). `pivots` memoizes
+    * pivot candidates per (dataset, column) across edges probed concurrently;
+    * a rare duplicate compute is harmless (same deterministic value).
+    */
   def checkEdge(
       e: Edge,
       parentDf: DataFrame,
@@ -100,10 +83,10 @@ object CLP {
       parentSchema: SchemaSet,
       childSchema: SchemaSet,
       cfg: CLPConfig,
-      cache: PivotCache = new PivotCache,
-  ): (Boolean, Long, Long) = {
+      pivots: TrieMap[(String, String), Array[Any]] = TrieMap.empty,
+  ): (Boolean, Long) = {
     val common = childSchema.tokens.intersect(parentSchema.tokens).toSeq.sorted
-    if (common.isEmpty) return (false, 0L, 0L)
+    if (common.isEmpty) return (false, 0L)
 
     val rng = new scala.util.Random(cfg.seed ^ (e.parent + "→" + e.child).hashCode.toLong)
     val scalar = common.filter(c => childDf.schema(c).dataType match {
@@ -114,18 +97,16 @@ object CLP {
     val commonCols: Seq[Column] = common.map(qcol)
 
     var probes = 0L
-    var sampled = 0L
     for (c <- searchCols) {
       // Draw a pivot value from the leading child rows — cheap: no full scan,
       // and memoized per (dataset, column) across all of this run's edges.
-      val candidates = cache.candidates(e.child, c) {
+      val candidates = pivots.getOrElseUpdate((e.child, c),
         childDf
           .select(qcol(c))
           .where(qcol(c).isNotNull)
           .limit(cfg.pivotCandidates)
           .collect()
-          .map(_.get(0))
-      }
+          .map(_.get(0)))
       if (candidates.nonEmpty) {
         val pivot = candidates(rng.nextInt(candidates.length))
         val sample = childDf.where(qcol(c) === lit(pivot)).select(commonCols: _*).limit(cfg.t).alias("l")
@@ -135,10 +116,9 @@ object CLP {
         // globally-disabled auto-broadcast does not force a full shuffle.
         val missing = sample.join(parentSide.hint("broadcast"), cond, "left_anti")
         probes += 1
-        sampled += math.min(cfg.t, candidates.length).toLong
-        if (!missing.isEmpty) return (true, probes, sampled)
+        if (!missing.isEmpty) return (true, probes)
       }
     }
-    (false, probes, sampled)
+    (false, probes)
   }
 }

@@ -4,7 +4,10 @@ import org.apache.spark.sql.DataFrame
 
 import repro.stats.StatsCatalog
 
-/** Incremental state for §7.1 dynamic graph updates. */
+/** Incremental state for §7.1 dynamic graph updates. Operations never write
+  * to the catalog of the state they are given, only to a copy of it, so an
+  * earlier state (and the run it came from) keeps stats that match its frames.
+  */
 final case class R2D2State(
     dfs: Map[String, DataFrame],
     schemas: Map[String, SchemaSet],
@@ -41,10 +44,12 @@ object DynamicUpdates {
 
   /** Flatten `df`, register its stats and schema as dataset `name`. */
   private def put(st: R2D2State, name: String, df: DataFrame): R2D2State = {
-    val flat = R2D2.ingest(st.catalog, name, df)
+    val catalog = st.catalog.copy()
+    val flat = R2D2.ingest(catalog, name, df)
     st.copy(
       dfs = st.dfs + (name -> flat),
       schemas = st.schemas + (name -> SchemaSet.fromStruct(flat.schema)),
+      catalog = catalog,
       graph = st.graph.addNode(name),
     )
   }
@@ -74,8 +79,9 @@ object DynamicUpdates {
 
   /** Delete a dataset: drop its node, incident edges, stats and frame. */
   def deleteDataset(st: R2D2State, name: String): R2D2State = {
-    st.catalog.remove(name)
-    st.copy(dfs = st.dfs - name, schemas = st.schemas - name, graph = st.graph.removeNode(name))
+    val catalog = st.catalog.copy()
+    catalog.remove(name)
+    st.copy(dfs = st.dfs - name, schemas = st.schemas - name, catalog = catalog, graph = st.graph.removeNode(name))
   }
 
   /** Rows were added to `name`: its children still fit in it, so only its

@@ -16,12 +16,6 @@ final case class SchemaSet(tokens: Set[String]) {
 
   /** Exact schema containment: every token of this schema appears in `other`. */
   def subsetOf(other: SchemaSet): Boolean = tokens.subsetOf(other.tokens)
-
-  def intersect(other: SchemaSet): SchemaSet = SchemaSet(tokens.intersect(other.tokens))
-
-  /** Schema-level containment fraction CM(this, other) = |this ∩ other| / |this|. */
-  def containmentFraction(other: SchemaSet): Double =
-    if (tokens.isEmpty) 1.0 else tokens.count(other.tokens.contains).toDouble / tokens.size
 }
 
 object SchemaSet {

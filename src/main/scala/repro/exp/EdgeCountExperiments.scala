@@ -1,7 +1,5 @@
 package repro.exp
 
-import org.apache.spark.sql.SparkSession
-
 /** Tables 1 & 2: number of correct / incorrect / undetected edges after each
   * R2D2 stage, versus the ground-truth containment graph. Table 1 covers the
   * three enterprise customer lakes; Table 2 the two synthetic corpora.
@@ -30,12 +28,12 @@ object EdgeCountExperiments {
     TextTable.format(Seq("Data", "Edges", "after SGB", "after MMP", "after CLP"), rows)
   }
 
-  def table1(spark: SparkSession, outs: Map[String, PipelineOutput]): String = {
+  def table1(outs: Map[String, PipelineOutput]): String = {
     val reports = Seq("customer1", "customer2", "customer3").flatMap(n => outs.get(n).map(report(n, _)))
     TextTable.section("Table 1 — enterprise edge counts per stage", render(reports, PaperNumbers.table1))
   }
 
-  def table2(spark: SparkSession, outs: Map[String, PipelineOutput]): String = {
+  def table2(outs: Map[String, PipelineOutput]): String = {
     val reports = Seq("tableUnion", "kaggle").flatMap(n => outs.get(n).map(report(n, _)))
     TextTable.section("Table 2 — synthetic edge counts per stage", render(reports, PaperNumbers.table2))
   }

@@ -11,6 +11,12 @@ import repro.opt._
 object OptimizationExperiment {
 
   val WeeksPerMonth = 52.0 / 12.0
+  /** The storage and compute prices C_e and the savings are priced with. */
+  val Costs: CostModel = CostModel.azureHotLike
+  /** Th, the reconstruction-latency QoS threshold in seconds. */
+  val LatencyThresholdSec = 600.0
+  /** Seed of the power-law access and maintenance frequencies. */
+  val AccessSeed = 31L
 
   final case class Result(
       name: String,
@@ -23,13 +29,7 @@ object OptimizationExperiment {
       solution: OptSolution,
   )
 
-  def run(
-      name: String,
-      out: PipelineOutput,
-      cm: CostModel = CostModel.azureHotLike,
-      latencyThresholdSec: Double = 600.0,
-      seed: Long = 31,
-  ): Result = {
+  def run(name: String, out: PipelineOutput): Result = {
     val g = out.clp.graph
     val names = g.nodes.toSeq.sorted
     val sizes = names.map(n => n -> out.catalog(n).sizeBytes.toDouble).toMap
@@ -43,10 +43,10 @@ object OptimizationExperiment {
       // week (f_v ≈ 4.33/month) but customer-initiated accesses are rare and
       // power-law distributed — deletion pays off exactly when A_v·C_e stays
       // under the weekly-scan maintenance burden.
-      accesses = Preprocess.powerLaw(names, seed, xMin = 0.02),
-      maintenance = Preprocess.powerLaw(names, seed + 1, xMin = WeeksPerMonth),
-      cm = cm,
-      latencyThreshold = latencyThresholdSec,
+      accesses = Preprocess.powerLaw(names, AccessSeed, xMin = 0.02),
+      maintenance = Preprocess.powerLaw(names, AccessSeed + 1, xMin = WeeksPerMonth),
+      cm = Costs,
+      latencyThreshold = LatencyThresholdSec,
     )
     val sol = OptRet.solve(problem)
     val deleted = problem.nodes.map(_.name).filterNot(sol.retained).toSet

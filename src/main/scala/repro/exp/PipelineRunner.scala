@@ -5,6 +5,7 @@ import org.apache.spark.sql.SparkSession
 import repro.core._
 import repro.lake.{Lake, LakeGenerator, LakeProfile}
 import repro.stats.StatsCatalog
+import repro.util.Par
 
 /** Per-stage edge quality versus the ground-truth containment graph:
   * `correct` = stage ∩ GT, `incorrect` = stage \ GT (containment fraction
@@ -22,7 +23,6 @@ final case class PipelineOutput(
     gtSchema: ContainmentGraph,
     gtSchemaOps: Long,
     gt: GroundTruth.ContentGT,
-    data: Map[String, TableData],
     gtMs: Long,
     clpCfg: CLPConfig,
 ) {
@@ -50,27 +50,22 @@ final case class PipelineOutput(
 
 object PipelineRunner {
 
-  /** Generate the lake for `profile` and run the full pipeline + ground
-    * truth, timing each stage.
+  /** Generate the lake for `profile`, run [[R2D2.run]] over it, then the
+    * ground truth to evaluate it against.
     */
-  def run(spark: SparkSession, profile: LakeProfile, clpCfg: CLPConfig = CLPConfig()): PipelineOutput = {
+  def run(spark: SparkSession, profile: LakeProfile): PipelineOutput = {
     val lake = LakeGenerator.generate(spark, profile)
-    runOnLake(spark, lake, clpCfg)
-  }
-
-  /** [[R2D2.run]] over the lake, then ground truth to evaluate it against. */
-  def runOnLake(spark: SparkSession, lake: Lake, clpCfg: CLPConfig = CLPConfig()): PipelineOutput = {
+    val clpCfg = CLPConfig()
     val run = R2D2.run(lake.datasets.map(d => d.name -> d.df), clpCfg)
 
     // Ground truth (§6.2): brute-force schema graph, then full-content check
     // per schema edge. Timed as one unit — this is the baseline R2D2 beats.
     val t0 = System.nanoTime()
     val (gtSchemaGraph, gtSchemaOps) = GroundTruth.schemaGraph(lake.schemas)
-    val data = repro.util.Par.map(lake.datasets, clpCfg.parallelism)(d =>
-      d.name -> TableData.fromDf(d.name, run.dfs(d.name))).toMap
+    val data = Par.map(lake.datasets)(d => d.name -> TableData.fromDf(d.name, run.dfs(d.name))).toMap
     val gtContent = GroundTruth.contentGraph(gtSchemaGraph, data(_))
     val gtMs = (System.nanoTime() - t0) / 1000000
 
-    PipelineOutput(lake, run, gtSchemaGraph, gtSchemaOps, gtContent, data, gtMs, clpCfg)
+    PipelineOutput(lake, run, gtSchemaGraph, gtSchemaOps, gtContent, gtMs, clpCfg)
   }
 }

@@ -29,8 +29,6 @@ final case class LakeDataset(
 final case class Lake(name: String, datasets: Seq[LakeDataset]) {
   lazy val byName: Map[String, LakeDataset] = datasets.map(d => d.name -> d).toMap
   def schemas: Seq[(String, SchemaSet)] = datasets.map(d => d.name -> d.schema)
-  def df(name: String): DataFrame = byName(name).df
-  def schema(name: String): SchemaSet = byName(name).schema
   /** Known-transformation edges (parent → child), for §5.1 pre-processing. */
   def provenance: Seq[(String, String)] = datasets.flatMap(d => d.parent.map(_ -> d.name))
   def unpersist(): Unit = datasets.foreach(_.df.unpersist())
@@ -94,7 +92,7 @@ object LakeGenerator {
   def generate(spark: SparkSession, profile: LakeProfile): Lake = {
     // Families are independent: each gets its own deterministic RNG so they
     // can be generated concurrently without losing reproducibility.
-    val all = repro.util.Par.map(profile.families.zipWithIndex.toSeq, 8) { case (fam, i) =>
+    val all = repro.util.Par.map(profile.families.zipWithIndex.toSeq) { case (fam, i) =>
       generateFamily(spark, profile, fam, profile.seed + 1000L * i)
     }
     Lake(profile.name, all.flatten)

@@ -64,11 +64,14 @@ object Preprocess {
     e => ancestors(e.child).contains(e.parent) || ancestors(e.parent).contains(e.child)
   }
 
+  /** Exponent of [[powerLaw]]'s Pareto distribution. */
+  val PowerLawAlpha = 2.2
+
   /** Power-law samples for accesses/maintenance frequencies (§6.7: "for
     * synthetic data, we sampled A and f_m from a power law distribution").
     */
-  def powerLaw(names: Seq[String], seed: Long, xMin: Double = 0.5, alpha: Double = 2.2): Map[String, Double] = {
+  def powerLaw(names: Seq[String], seed: Long, xMin: Double = 0.5): Map[String, Double] = {
     val rng = new scala.util.Random(seed)
-    names.map(n => n -> xMin * math.pow(1.0 - rng.nextDouble(), -1.0 / (alpha - 1.0))).toMap
+    names.map(n => n -> xMin * math.pow(1.0 - rng.nextDouble(), -1.0 / (PowerLawAlpha - 1.0))).toMap
   }
 }

@@ -57,6 +57,13 @@ final class StatsCatalog {
   }
 
   def remove(name: String): Unit = cache.remove(name)
+
+  /** A catalog holding the same stats; writing to either leaves the other as it is. */
+  def copy(): StatsCatalog = {
+    val c = new StatsCatalog
+    c.cache ++= cache
+    c
+  }
 }
 
 object StatsCatalog {

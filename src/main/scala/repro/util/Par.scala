@@ -6,15 +6,18 @@ import scala.concurrent.{Await, ExecutionContext, Future}
 import scala.concurrent.duration.Duration
 
 /** Bounded-parallelism map for driver-side orchestration of many tiny Spark
-  * actions (CLP probes, per-dataset stats/collect jobs). Spark's scheduler
-  * handles concurrent job submission; results return in input order, so
-  * callers stay deterministic.
+  * actions (CLP probes, lake families, ground-truth collects). Spark's
+  * scheduler handles concurrent job submission; results return in input
+  * order, so callers stay deterministic.
   */
 object Par {
 
-  def map[A, B](xs: Seq[A], parallelism: Int)(f: A => B): Seq[B] = {
-    if (parallelism <= 1 || xs.size <= 1) return xs.map(f)
-    val pool = Executors.newFixedThreadPool(parallelism)
+  /** The one driver-side pool size, shared by every caller. */
+  val Threads = 8
+
+  def map[A, B](xs: Seq[A])(f: A => B): Seq[B] = {
+    if (xs.size <= 1) return xs.map(f)
+    val pool = Executors.newFixedThreadPool(Threads)
     implicit val ec: ExecutionContext = ExecutionContext.fromExecutor(pool)
     try {
       val futures = xs.map(x => Future(f(x)))

@@ -51,14 +51,6 @@ class SynthDataSpec extends SparkSpec {
     assert(segs.size >= 3)
   }
 
-  test("zipf keys are skewed toward small ranks; uniform keys are not") {
-    val z = SynthData.zipfKeys(spark, rows = 20000, nKeys = 100, alpha = 1.2)
-    val u = SynthData.uniformKeys(spark, rows = 20000, nKeys = 100)
-    val zTop = z.where(col("k") <= 5).count().toDouble / 20000
-    val uTop = u.where(col("k") <= 5).count().toDouble / 20000
-    assert(zTop > 2 * uTop, s"zipf top-5 share $zTop vs uniform $uTop")
-  }
-
   test("part retail price is a deterministic function of the key") {
     val p = SynthData.part(spark, 0.001)
     val bad = p.where(col("p_retailprice") =!= round(lit(900.0) + (col("p_partkey") % 1000) / 10.0, 2))

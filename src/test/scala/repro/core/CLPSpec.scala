@@ -15,7 +15,7 @@ class CLPSpec extends SparkSpec {
   private def sch(df: DataFrame): SchemaSet = SchemaSet.fromStruct(df.schema)
 
   private def check(parent: DataFrame, child: DataFrame, cfg: CLPConfig = CLPConfig()): Boolean = {
-    val (prune, _, _) = CLP.checkEdge(Edge("p", "c"), parent, child, sch(parent), sch(child), cfg)
+    val (prune, _) = CLP.checkEdge(Edge("p", "c"), parent, child, sch(parent), sch(child), cfg)
     prune
   }
 
@@ -71,14 +71,13 @@ class CLPSpec extends SparkSpec {
     val res = CLP.prune(g, names(_), schemas(_), CLPConfig(s = 2, t = 5))
     assert(res.graph.edges == Set(Edge("p", "filt")))
     assert(res.pruned == Set(Edge("p", "bad")))
-    assert(res.probeCount > 0 && res.sampledRows > 0)
+    assert(res.probeCount > 0)
   }
 
   test("no common columns means no probes and no pruning") {
     val other = spark.range(5).select(col("id").as("zzz"))
-    val (prune, probes, rows) =
-      CLP.checkEdge(Edge("p", "c"), li, other, sch(li), sch(other), CLPConfig())
-    assert(!prune && probes == 0 && rows == 0)
+    val (prune, probes) = CLP.checkEdge(Edge("p", "c"), li, other, sch(li), sch(other), CLPConfig())
+    assert(!prune && probes == 0)
   }
 
   test("null values are handled null-safely (a contained child with nulls is kept)") {
@@ -120,7 +119,7 @@ class CLPSpec extends SparkSpec {
 
   test("probe budget respects s (probes ≤ s per edge)") {
     val dup = Transformations.duplicate(li)
-    val (_, probes, _) = CLP.checkEdge(Edge("p", "c"), li, dup, sch(li), sch(dup), CLPConfig(s = 3, t = 5))
+    val (_, probes) = CLP.checkEdge(Edge("p", "c"), li, dup, sch(li), sch(dup), CLPConfig(s = 3, t = 5))
     assert(probes <= 3)
   }
 

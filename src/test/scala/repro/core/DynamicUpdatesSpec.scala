@@ -14,11 +14,15 @@ import repro.lake.LakeGenerator
   */
 class DynamicUpdatesSpec extends SparkSpec {
 
-  private def freshState() = {
+  private def smallLake(): Map[String, DataFrame] = {
     val li = SynthData.lineitem(spark, sf = 0.0002, seed = 31).cache()
     val filt = li.where(col("l_returnflag") === "N").cache()
     val proj = li.drop("l_tax").cache()
-    val datasets = Map("li" -> li, "filt" -> filt, "proj" -> proj)
+    Map("li" -> li, "filt" -> filt, "proj" -> proj)
+  }
+
+  private def freshState() = {
+    val datasets = smallLake()
     val run = R2D2.run(datasets.toSeq.sortBy(_._1))
     (datasets, R2D2State.fromRun(datasets, run))
   }
@@ -72,6 +76,18 @@ class DynamicUpdatesSpec extends SparkSpec {
     assert(!st1.graph.nodes.contains("filt"))
     assert(!st1.graph.edges.exists(e => e.parent == "filt" || e.child == "filt"))
     assert(st1.catalog.get("filt").isEmpty)
+  }
+
+  test("deleteDataset leaves the stats of the earlier state and of its run intact") {
+    val datasets = smallLake()
+    val run = R2D2.run(datasets.toSeq.sortBy(_._1))
+    val st0 = R2D2State.fromRun(datasets, run)
+    DynamicUpdates.deleteDataset(st0, "filt")
+    assert(st0.catalog.get("filt").isDefined && run.catalog.get("filt").isDefined)
+    // q20's candidates include filt → q20, so MMP reads filt's stats from st0.
+    val q20 = datasets("li").where(col("l_quantity") <= 20).cache()
+    val (st1, _) = DynamicUpdates.addDataset(st0, "q20", q20)
+    assertMatchesRun(st1, datasets + ("q20" -> q20))
   }
 
   test("rowsAdded keeps outgoing edges and drops a now-invalid incoming edge") {

@@ -64,23 +64,6 @@ class SchemaSpec extends AnyFunSuite {
     assert(SchemaSet(Set.empty[String]).subsetOf(SchemaSet(Set("a"))))
   }
 
-  test("containmentFraction matches |A ∩ B| / |A|") {
-    val a = SchemaSet(Set("a", "b", "c", "d"))
-    val b = SchemaSet(Set("b", "c", "x"))
-    assert(a.containmentFraction(b) == 0.5)
-    assert(b.containmentFraction(a) == 2.0 / 3.0)
-  }
-
-  test("containmentFraction is 1 for full containment and for empty schema") {
-    val a = SchemaSet(Set("a"))
-    assert(a.containmentFraction(SchemaSet(Set("a", "b"))) == 1.0)
-    assert(SchemaSet(Set.empty[String]).containmentFraction(a) == 1.0)
-  }
-
-  test("intersect returns shared tokens") {
-    assert(SchemaSet(Set("a", "b")).intersect(SchemaSet(Set("b", "c"))).tokens == Set("b"))
-  }
-
   test("size is token cardinality") {
     assert(SchemaSet(Set("a", "b", "c")).size == 3)
   }
