@@ -1,33 +1,38 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.{Column, DataFrame, Row}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.{ArrayType, MapType, StructType}
 
-import scala.collection.concurrent.TrieMap
+import scala.jdk.CollectionConverters._
 
 import repro.stats.StatsCatalog.qcol
+import repro.util.Par
 
 /** Parameters of content-level pruning (§4.3, §6.6): Alg. 3's `s` and `t`.
   *
   * @param s    max number of search columns to sample WHERE-filters from
   * @param t    max rows sampled from the child per probe
-  * @param seed RNG seed; probes are deterministic in (seed, edge)
+  * @param seed RNG seed; probes are deterministic in (seed, child content)
   */
 final case class CLPConfig(
     s: Int = 4,
     t: Int = 10,
     seed: Long = 42,
 ) {
-  /** How many leading child values a pivot is drawn from. */
+  /** Reported only: how many leading child values the earlier per-edge CLP
+    * drew a pivot from. It no longer steers sampling; a pivot is now the
+    * value in the row with the smallest salted content hash.
+    */
   val pivotCandidates: Int = 64
-  /** How many edges are probed concurrently. */
-  val parallelism: Int = repro.util.Par.Threads
+  /** How many children, parents or confirmations are processed concurrently. */
+  val parallelism: Int = Par.Threads
 }
 
 /** Result of content-level pruning.
   *
-  * @param probeCount number of WHERE-filter probes executed
+  * @param probeCount Σ over edges of the child's probes that drew rows (an
+  *                   edge with no common columns has none)
   */
 final case class CLPResult(
     graph: ContainmentGraph,
@@ -37,17 +42,42 @@ final case class CLPResult(
 
 /** Algorithm 3 (CLP): for each surviving edge x → y, sample up to `t` rows of
   * the child y via a WHERE filter on each of `s` sampled common columns, and
-  * left-anti join the sample against the parent x over **all** common columns
+  * check every sampled row against the parent x over **all** common columns
   * (the full row tuple — column-wise set containment is not enough, paper
   * footnote 6). Any sampled row missing from x disproves `y ⊆ x` and the
   * edge is pruned. True containment edges can never be pruned: every row of
   * y, sampled or not, is present in x.
   *
+  * The edges are checked in three batched phases, each spread over [[Par]]:
+  *
+  *  - (a) '''One sample per child.''' Edges are grouped by (child, common
+  *     columns); SGB only emits edges with child.schema ⊆ parent.schema, so
+  *     a group is one child. Probe j's pivot is its search column's value in
+  *     the non-null row with the smallest `xxhash64` salted by (seed, child,
+  *     j), and its rows are the ≤ `t` distinct rows holding that pivot with
+  *     the smallest salted hashes. Both are functions of the child's content
+  *     only, so verdicts do not depend on partitioning.
+  *  - (b) '''One hash scan per parent.''' A narrow scan hashes the parent
+  *     projected onto each incoming child's columns and keeps the hashes
+  *     found in that child's sample.
+  *  - (c) '''Exact confirmation.''' An edge with a sampled row whose hash was
+  *     not found is pruned only if a null-safe left-anti join of those rows
+  *     against the parent returns a row, so a hash collision can only keep
+  *     an edge, and type coercion and `-0.0 = 0.0` behave as `<=>` does.
+  *
   * Search columns are drawn from the scalar leaves only: an array (or a map,
   * flattened to sorted entries) has no literal to filter by. Such leaves
-  * still take part in the join.
+  * still take part in the hashes and the join.
   */
 object CLP {
+
+  /** Probe results of one (child, common columns) group: the rows each probe
+    * drew, keyed by their unsalted content hash.
+    */
+  private final case class Sample(common: Seq[String], schema: StructType, probes: Seq[Map[Long, Row]]) {
+    val rows: Map[Long, Row] = probes.foldLeft(Map.empty[Long, Row])(_ ++ _)
+    def drawn: Long = probes.count(_.nonEmpty).toLong
+  }
 
   def prune(
       graph: ContainmentGraph,
@@ -55,70 +85,113 @@ object CLP {
       schemas: String => SchemaSet,
       cfg: CLPConfig = CLPConfig(),
   ): CLPResult = {
-    val pivots = TrieMap.empty[(String, String), Array[Any]]
     val edges = graph.edges.toSeq.sortBy(e => (e.parent, e.child))
-    // Every edge check is independent (per-edge seeded RNG) and each probe is
-    // a tiny one-task Spark job — run them concurrently for wall-clock speed.
-    val results = repro.util.Par.map(edges) { e =>
-      e -> checkEdge(e, dfs(e.parent), dfs(e.child), schemas(e.parent), schemas(e.child), cfg, pivots)
+    val groupOf = edges.map(e => e -> (e.child, schemas(e.child).tokens.intersect(schemas(e.parent).tokens).toSeq.sorted))
+      .filter(_._2._2.nonEmpty).toMap
+    val probed = edges.filter(groupOf.contains)
+
+    // (a) one sample per (child, common columns)
+    val groups = probed.map(groupOf).distinct
+    val samples = groups.zip(Par.map(groups) { case (c, common) => sample(c, dfs(c), common, cfg) }).toMap
+    val sampleOf = (e: Edge) => samples(groupOf(e))
+
+    // (b) one scan per parent, over every incoming edge whose child drew rows
+    val byParent = probed.filter(sampleOf(_).rows.nonEmpty).groupBy(_.parent).toSeq.sortBy(_._1)
+    val found = Par.map(byParent) { case (p, es) => es.zip(foundHashes(dfs(p), es.map(sampleOf))) }.flatten
+
+    // (c) exact confirmation of every edge with a hash miss
+    val suspects = found.flatMap { case (e, hit) =>
+      val missing = sampleOf(e).rows.filter { case (h, _) => !hit(h) }.values.toSeq
+      if (missing.isEmpty) None else Some(e -> missing)
     }
-    var probes = 0L
-    val pruned = Set.newBuilder[Edge]
-    var g = graph
-    for ((e, (doPrune, p)) <- results) {
-      probes += p
-      if (doPrune) { pruned += e; g = g.removeEdge(e) }
-    }
-    CLPResult(g, pruned.result(), probes)
+    val pruned = Par.map(suspects) { case (e, rows) => e -> refutes(dfs(e.parent), sampleOf(e), rows) }
+      .collect { case (e, true) => e }.toSet
+
+    CLPResult(graph.removeEdges(pruned), pruned, probed.map(sampleOf(_).drawn).sum)
   }
 
-  /** Probe a single edge; returns (prune?, probes run). `pivots` memoizes
-    * pivot candidates per (dataset, column) across edges probed concurrently;
-    * a rare duplicate compute is harmless (same deterministic value).
+  /** Phase (a): two Spark actions, one for every probe's pivot and one for
+    * every probe's rows, each a per-partition pass merged on the driver.
     */
-  def checkEdge(
-      e: Edge,
-      parentDf: DataFrame,
-      childDf: DataFrame,
-      parentSchema: SchemaSet,
-      childSchema: SchemaSet,
-      cfg: CLPConfig,
-      pivots: TrieMap[(String, String), Array[Any]] = TrieMap.empty,
-  ): (Boolean, Long) = {
-    val common = childSchema.tokens.intersect(parentSchema.tokens).toSeq.sorted
-    if (common.isEmpty) return (false, 0L)
-
-    val rng = new scala.util.Random(cfg.seed ^ (e.parent + "→" + e.child).hashCode.toLong)
-    val scalar = common.filter(c => childDf.schema(c).dataType match {
+  private def sample(child: String, df: DataFrame, common: Seq[String], cfg: CLPConfig): Sample = {
+    val cols: Seq[Column] = common.map(qcol)
+    val schema = df.select(cols: _*).schema
+    val rng = new scala.util.Random(cfg.seed ^ child.hashCode.toLong)
+    val scalar = common.filter(c => df.schema(c).dataType match {
       case _: ArrayType | _: MapType | _: StructType => false
       case _                                         => true
     })
-    val searchCols = rng.shuffle(scalar).take(math.max(1, cfg.s))
-    val commonCols: Seq[Column] = common.map(qcol)
+    val search = rng.shuffle(scalar).take(math.max(1, cfg.s))
+    val k = search.size
+    if (k == 0) return Sample(common, schema, Nil)
+    // Salting with the child's name keeps children that share rows from
+    // drawing the same rows.
+    val salted = search.indices.map(j => xxhash64(Seq(lit(cfg.seed), lit(child), lit(j)) ++ cols: _*))
 
-    var probes = 0L
-    for (c <- searchCols) {
-      // Draw a pivot value from the leading child rows — cheap: no full scan,
-      // and memoized per (dataset, column) across all of this run's edges.
-      val candidates = pivots.getOrElseUpdate((e.child, c),
-        childDf
-          .select(qcol(c))
-          .where(qcol(c).isNotNull)
-          .limit(cfg.pivotCandidates)
-          .collect()
-          .map(_.get(0)))
-      if (candidates.nonEmpty) {
-        val pivot = candidates(rng.nextInt(candidates.length))
-        val sample = childDf.where(qcol(c) === lit(pivot)).select(commonCols: _*).limit(cfg.t).alias("l")
-        val parentSide = parentDf.select(commonCols: _*).alias("r")
-        val cond = common.map(t => col(s"l.`$t`") <=> col(s"r.`$t`")).reduce(_ && _)
-        // Tables here are small in absolute terms; hint the probe join so the
-        // globally-disabled auto-broadcast does not force a full shuffle.
-        val missing = sample.join(parentSide.hint("broadcast"), cond, "left_anti")
-        probes += 1
-        if (!missing.isEmpty) return (true, probes)
+    val pivotCols = search.indices.flatMap(j => Seq(when(qcol(search(j)).isNotNull, salted(j)), qcol(search(j))))
+    val minima = df.select(pivotCols: _*).rdd.mapPartitions { it =>
+      val best = Array.fill[Option[(Long, Any)]](k)(None)
+      it.foreach { r =>
+        for (j <- 0 until k if !r.isNullAt(2 * j)) {
+          val h = r.getLong(2 * j)
+          if (best(j).forall(_._1 > h)) best(j) = Some(h -> r.get(2 * j + 1))
+        }
       }
+      Iterator.single(best)
+    }.collect()
+    val pivots = (0 until k).map(j => minima.flatMap(_(j)).minByOption(_._1).map(_._2))
+    if (pivots.forall(_.isEmpty)) return Sample(common, schema, Nil)
+
+    val t = cfg.t
+    val hit = search.indices.map(j => pivots(j).fold(lit(false))(p => coalesce(qcol(search(j)) === lit(p), lit(false))))
+    val tops = df.select((hit ++ salted :+ xxhash64(cols: _*)) ++ cols: _*).where(hit.reduce(_ || _))
+      .rdd.mapPartitions { it =>
+        val best = Array.fill(k)(new java.util.TreeMap[Long, (Long, Row)]())
+        it.foreach { r =>
+          for (j <- 0 until k if r.getBoolean(j)) {
+            val h = r.getLong(k + j)
+            val top = best(j)
+            if (top.size < t || h < top.lastKey) {
+              top.put(h, (r.getLong(2 * k), Row.fromSeq(r.toSeq.drop(2 * k + 1))))
+              if (top.size > t) top.pollLastEntry()
+            }
+          }
+        }
+        best.iterator.zipWithIndex.flatMap { case (top, j) => top.asScala.iterator.map { case (h, row) => (j, h, row) } }
+      }.collect()
+    val probes = (0 until k).map { j =>
+      tops.filter(_._1 == j).sortBy(_._2).distinctBy(_._2).take(t).map(_._3).toMap
     }
-    (false, probes)
+    Sample(common, schema, probes)
+  }
+
+  /** Phase (b): one narrow scan of the parent; for each sample, the sampled
+    * content hashes found among the parent's rows projected onto its columns.
+    */
+  private def foundHashes(parentDf: DataFrame, samples: Seq[Sample]): Seq[Set[Long]] = {
+    val n = samples.size
+    val hits = samples.map { s =>
+      val h = xxhash64(s.common.map(qcol): _*)
+      when(h.isin(s.rows.keys.toSeq: _*), h)
+    }
+    val perPartition = parentDf.select(hits: _*).where(hits.map(_.isNotNull).reduce(_ || _))
+      .rdd.mapPartitions { it =>
+        val seen = Array.fill(n)(Set.newBuilder[Long])
+        it.foreach(r => for (g <- 0 until n if !r.isNullAt(g)) seen(g) += r.getLong(g))
+        Iterator.single(seen.map(_.result()))
+      }.collect()
+    (0 until n).map(g => perPartition.flatMap(_(g)).toSet)
+  }
+
+  /** Phase (c): does some row of `rows` (drawn by `s`) miss from the parent
+    * under a null-safe join on all of the sample's columns?
+    */
+  private def refutes(parentDf: DataFrame, s: Sample, rows: Seq[Row]): Boolean = {
+    val sampled = parentDf.sparkSession.createDataFrame(rows.asJava, s.schema).alias("l")
+    val parentSide = parentDf.select(s.common.map(qcol): _*).alias("r")
+    val cond = s.common.map(t => col(s"l.`$t`") <=> col(s"r.`$t`")).reduce(_ && _)
+    // Tables here are small in absolute terms; hint the join so the
+    // globally-disabled auto-broadcast does not force a full shuffle.
+    sampled.join(parentSide.hint("broadcast"), cond, "left_anti").collect().nonEmpty
   }
 }

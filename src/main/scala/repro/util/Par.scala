@@ -6,7 +6,7 @@ import scala.concurrent.{Await, ExecutionContext, Future}
 import scala.concurrent.duration.Duration
 
 /** Bounded-parallelism map for driver-side orchestration of many tiny Spark
-  * actions (CLP probes, lake families, ground-truth collects). Spark's
+  * actions (CLP samples and scans, lake families, ground-truth collects). Spark's
   * scheduler handles concurrent job submission; results return in input
   * order, so callers stay deterministic.
   */

@@ -14,10 +14,15 @@ class CLPSpec extends SparkSpec {
   lazy val li = SynthData.lineitem(spark, sf = 0.0002, seed = 23).cache()
   private def sch(df: DataFrame): SchemaSet = SchemaSet.fromStruct(df.schema)
 
-  private def check(parent: DataFrame, child: DataFrame, cfg: CLPConfig = CLPConfig()): Boolean = {
-    val (prune, _) = CLP.checkEdge(Edge("p", "c"), parent, child, sch(parent), sch(child), cfg)
-    prune
+  /** CLP over the one-edge graph p → c. */
+  private def pruneEdge(parent: DataFrame, child: DataFrame, cfg: CLPConfig): CLPResult = {
+    val dfs = Map("p" -> parent, "c" -> child)
+    CLP.prune(ContainmentGraph(dfs.keys, Seq(Edge("p", "c"))), dfs(_), n => sch(dfs(n)), cfg)
   }
+
+  /** Is the edge p → c pruned? */
+  private def check(parent: DataFrame, child: DataFrame, cfg: CLPConfig = CLPConfig()): Boolean =
+    pruneEdge(parent, child, cfg).pruned.nonEmpty
 
   test("never prunes a WHERE-filter child (true containment)") {
     val child = li.where(col("l_returnflag") === "N").cache()
@@ -76,8 +81,8 @@ class CLPSpec extends SparkSpec {
 
   test("no common columns means no probes and no pruning") {
     val other = spark.range(5).select(col("id").as("zzz"))
-    val (prune, probes) = CLP.checkEdge(Edge("p", "c"), li, other, sch(li), sch(other), CLPConfig())
-    assert(!prune && probes == 0)
+    val res = pruneEdge(li, other, CLPConfig())
+    assert(res.pruned.isEmpty && res.probeCount == 0)
   }
 
   test("null values are handled null-safely (a contained child with nulls is kept)") {
@@ -119,8 +124,7 @@ class CLPSpec extends SparkSpec {
 
   test("probe budget respects s (probes ≤ s per edge)") {
     val dup = Transformations.duplicate(li)
-    val (_, probes) = CLP.checkEdge(Edge("p", "c"), li, dup, sch(li), sch(dup), CLPConfig(s = 3, t = 5))
-    assert(probes <= 3)
+    assert(pruneEdge(li, dup, CLPConfig(s = 3, t = 5)).probeCount <= 3 * 1)
   }
 
   test("deterministic in seed") {
@@ -130,5 +134,72 @@ class CLPSpec extends SparkSpec {
     val r1 = check(li, noisy, CLPConfig(s = 2, t = 3, seed = 99))
     val r2 = check(li, noisy, CLPConfig(s = 2, t = 3, seed = 99))
     assert(r1 == r2)
+  }
+
+  // Verdicts are functions of (seed, row content): the same frames split
+  // into 1 or 7 partitions give the same pruned edges and probe count. With
+  // s = 1 and t = 2, each noisy edge is pruned only with moderate
+  // probability, so a sample that moved with the partitioning would flip
+  // some of the eight verdicts.
+  test("partition-independent: 1 and 7 partitions give identical results") {
+    val stats = StatsCatalog.compute(li)
+    val NumStats(lo, hi) = stats.cols("l_extendedprice").asInstanceOf[NumStats]
+    val noisy = (1 to 8).map(i =>
+      s"noisy$i" -> Transformations.noise(li, "l_extendedprice", lo, hi, rho = 0.3, inRange = true, seed = i).cache())
+    val lake = Map(
+      "p" -> li,
+      "flagN" -> li.where(col("l_returnflag") === "N"),
+      "flagR" -> li.where(col("l_returnflag") === "R"),
+    ) ++ noisy
+    val edges = Seq(Edge("p", "flagN"), Edge("flagN", "flagR")) ++ noisy.map { case (n, _) => Edge("p", n) }
+    val schemas = lake.map { case (k, v) => k -> sch(v) }
+    def prune(parts: Int): CLPResult = {
+      val dfs = lake.map { case (k, v) => k -> v.repartition(parts).cache() }
+      CLP.prune(ContainmentGraph(lake.keys, edges), dfs(_), schemas(_), CLPConfig(s = 1, t = 2, seed = 7))
+    }
+    val (one, seven) = (prune(1), prune(7))
+    assert(one.pruned == seven.pruned)
+    assert(one.probeCount == seven.probeCount)
+    assert(one.pruned.contains(Edge("flagN", "flagR")) && !one.pruned.contains(Edge("p", "flagN")))
+  }
+
+  // Exactness: a row whose content hash is not found in the parent is only
+  // a suspect; the null-safe join decides. An int key against a long key
+  // always misses the hash (Spark hashes an int in 4 bytes, a long in 8),
+  // so those cases reach the join. Spark's xxhash64 equates -0.0 and 0.0,
+  // so with equal types the sample's hashes are found directly.
+  private lazy val zeros = spark.createDataFrame(Seq((1L, 0.0), (2L, 1.5))).toDF("id", "v")
+
+  test("a -0.0 child value against a 0.0 parent value is kept") {
+    val child = spark.createDataFrame(Seq((1L, -0.0))).toDF("id", "v")
+    assert(!check(zeros, child, CLPConfig(s = 2, t = 10)))
+    assert(!check(zeros, child.select(col("id").cast("int").as("id"), col("v")), CLPConfig(s = 2, t = 10)))
+  }
+
+  test("an int child column against a long parent column with equal values is kept") {
+    val parent = spark.range(10).select(col("id"), (col("id") * 2).as("twice")).cache()
+    val child = spark.createDataFrame(Seq((1, 2L), (4, 8L))).toDF("id", "twice")
+    assert(!check(parent, child, CLPConfig(s = 2, t = 10)))
+  }
+
+  test("a -0.0 inside an array<double> leaf is kept") {
+    val parent = spark.range(3).select(col("id"), array(lit(0.0), col("id").cast("double")).as("xs")).cache()
+    val child = spark.range(3).select(col("id"), array(lit(-0.0), col("id").cast("double")).as("xs"))
+    assert(!check(parent, child, CLPConfig(s = 2, t = 10)))
+    assert(!check(parent, child.withColumn("id", col("id").cast("int")), CLPConfig(s = 2, t = 10)))
+  }
+
+  test("one child with two parents is sampled once; only the refuting parent's edge is pruned") {
+    val base = li.where(col("l_returnflag") === "N").coalesce(1)
+    val scans = spark.sparkContext.longAccumulator("child scans")
+    val child = spark.createDataFrame(base.rdd.mapPartitions { it => scans.add(1); it }, base.schema)
+    val shifted = li.withColumn("l_quantity", col("l_quantity") + 1000).cache()
+    val dfs = Map("keep" -> li, "shift" -> shifted, "c" -> child)
+    val g = ContainmentGraph(dfs.keys, Seq(Edge("keep", "c"), Edge("shift", "c")))
+    val res = CLP.prune(g, dfs(_), n => sch(dfs(n)), CLPConfig(s = 2, t = 5))
+    assert(res.pruned == Set(Edge("shift", "c")))
+    assert(res.graph.edges == Set(Edge("keep", "c")))
+    // One pass for the pivots and one for the rows, shared by both edges.
+    assert(scans.value == 2)
   }
 }
