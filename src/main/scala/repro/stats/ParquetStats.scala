@@ -1,15 +1,25 @@
 package repro.stats
 
-import java.io.File
+import java.net.URI
 
 import org.apache.hadoop.conf.Configuration
 import org.apache.hadoop.fs.Path
 import org.apache.parquet.column.statistics.Statistics
 import org.apache.parquet.hadoop.ParquetFileReader
+import org.apache.parquet.hadoop.metadata.ColumnChunkMetaData
 import org.apache.parquet.hadoop.util.HadoopInputFile
 import org.apache.parquet.io.api.Binary
-import org.apache.parquet.schema.LogicalTypeAnnotation
-import org.apache.parquet.schema.PrimitiveType.PrimitiveTypeName
+import org.apache.parquet.schema.LogicalTypeAnnotation._
+import org.apache.parquet.schema.PrimitiveType
+import org.apache.parquet.schema.PrimitiveType.PrimitiveTypeName._
+import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.catalyst.expressions.{Alias, AttributeReference, Expression, GetStructField}
+import org.apache.spark.sql.catalyst.plans.logical.{LogicalPlan, Project}
+import org.apache.spark.sql.catalyst.util.DateTimeUtils
+import org.apache.spark.sql.execution.datasources.{DataSourceUtils, HadoopFsRelation, LogicalRelation}
+import org.apache.spark.sql.execution.datasources.parquet.{ParquetFileFormat, ParquetOptions}
+import org.apache.spark.sql.internal.LegacyBehaviorPolicy
+import org.apache.spark.sql.types._
 
 import scala.jdk.CollectionConverters._
 
@@ -18,99 +28,165 @@ import scala.jdk.CollectionConverters._
   * This is the substrate the paper leans on for MMP: "for datasets that are
   * partitioned and stored in parquet format, values such as the columnar
   * minimum and maximum are often stored as metadata" (§4.2). No data pages
-  * are read — only footers — so the cost is O(files), not O(rows).
+  * are read — only footers — so the cost is O(files), not O(rows), and no
+  * Spark job runs.
   *
-  * Values are canonicalized exactly like [[StatsCatalog.compute]] (dates to
-  * epoch days, timestamps to epoch millis) so the two sources agree.
+  * Footer stats are used only where they are provably the ones
+  * [[StatsCatalog.compute]] would give, canonicalized the same way: a
+  * column gets none when any row group that holds a non-null value of it
+  * lacks min/max (parquet drops them when a float column holds NaN or a
+  * binary value is longer than 4 KiB), or when its stored type does not
+  * decode exactly to the column's Spark type.
   */
 object ParquetStats {
 
-  /** Read merged stats for a parquet dataset directory written by Spark. */
-  def read(dir: String, conf: Configuration = new Configuration()): DatasetStats = {
-    val files = Option(new File(dir).listFiles())
-      .getOrElse(Array.empty)
-      .filter(f => f.isFile && f.getName.endsWith(".parquet"))
-      .sortBy(_.getName)
-    require(files.nonEmpty, s"no parquet part files under $dir")
+  /** A flattened column the footers are asked for: its token, the path of
+    * its parquet column and its Spark type.
+    */
+  private final case class Leaf(token: String, path: Seq[String], dataType: DataType)
 
-    var rowCount = 0L
-    val mins = scala.collection.mutable.Map.empty[String, ColStats]
-
-    def merge(tok: String, s: ColStats): Unit = mins.get(tok) match {
-      case None => mins(tok) = s
-      case Some(NumStats(lo, hi)) =>
-        val n = s.asInstanceOf[NumStats]
-        mins(tok) = NumStats(math.min(lo, n.min), math.max(hi, n.max))
-      case Some(StrStats(lo, hi)) =>
-        val n = s.asInstanceOf[StrStats]
-        mins(tok) = StrStats(StrStats.order.min(lo, n.min), StrStats.order.max(hi, n.max))
+  /** `df`'s stats from its parquet footers, or `None` when they would not be
+    * exact: unless `df`, flattened, only projects columns and struct fields
+    * out of one unpartitioned parquet relation. A filtered frame's files hold
+    * rows the frame does not, so their range is wider than the frame's, and a
+    * child range that is too wide can prune a true edge. `sizeBytes` is the
+    * catalog's estimate, as [[StatsCatalog.compute]] gives it.
+    */
+  def of(df: DataFrame): Option[DatasetStats] = {
+    val flat = StatsCatalog.flatten(df)
+    scan(flat.queryExecution.analyzed).map { case (rel, leaves) =>
+      val (rows, cols) = footers(rel, leaves, rel.sparkSession.sessionState.newHadoopConfWithOptions(rel.options))
+      DatasetStats(rows, rows * flat.schema.defaultSize, cols)
     }
-
-    for (f <- files) {
-      val reader = ParquetFileReader.open(HadoopInputFile.fromPath(new Path(f.getAbsolutePath), conf))
-      try {
-        val footer = reader.getFooter
-        for (block <- footer.getBlocks.asScala) {
-          rowCount += block.getRowCount
-          for (cc <- block.getColumns.asScala) {
-            val tok = cc.getPath.toDotString
-            val stats = cc.getStatistics
-            if (stats != null && stats.hasNonNullValue) {
-              val pt = cc.getPrimitiveType
-              decode(pt.getPrimitiveTypeName, pt.getLogicalTypeAnnotation, stats)
-                .foreach(merge(tok, _))
-            }
-          }
-        }
-      } finally reader.close()
-    }
-    val sizeBytes = files.map(_.length).sum
-    DatasetStats(rowCount, sizeBytes, mins.toMap)
   }
 
-  private def decode(
-      ptn: PrimitiveTypeName,
-      logical: LogicalTypeAnnotation,
-      s: Statistics[_],
-  ): Option[ColStats] = {
-    def num(lo: Double, hi: Double) = Some(NumStats(lo, hi))
-    ptn match {
-      case PrimitiveTypeName.INT32 =>
-        val lo = s.genericGetMin.asInstanceOf[Integer].toDouble
-        val hi = s.genericGetMax.asInstanceOf[Integer].toDouble
-        // DATE is int32 epoch-days, which is already our canonical form.
-        num(lo, hi)
-      case PrimitiveTypeName.INT64 =>
-        val lo = s.genericGetMin.asInstanceOf[java.lang.Long].toDouble
-        val hi = s.genericGetMax.asInstanceOf[java.lang.Long].toDouble
-        logical match {
-          case ts: LogicalTypeAnnotation.TimestampLogicalTypeAnnotation =>
-            // Spark writes TIMESTAMP as int64 micros; canonical form is millis.
-            val div = ts.getUnit match {
-              case LogicalTypeAnnotation.TimeUnit.MICROS => 1000.0
-              case LogicalTypeAnnotation.TimeUnit.NANOS  => 1e6
-              case _                                     => 1.0
-            }
-            num(lo / div, hi / div)
-          case _ => num(lo, hi)
+  /** Footer stats of the parquet dataset directory `dir`; `sizeBytes` is the
+    * bytes of its files on disk.
+    */
+  def read(dir: String, conf: Configuration = SparkSession.active.sessionState.newHadoopConf()): DatasetStats = {
+    val root = new Path(dir)
+    require(root.getFileSystem(conf).listStatus(root).exists(f => f.isFile && f.getPath.getName.endsWith(".parquet")),
+      s"no parquet part files under $dir")
+    val (rel, leaves) = scan(StatsCatalog.flatten(SparkSession.active.read.parquet(dir)).queryExecution.analyzed).get
+    val (rows, cols) = footers(rel, leaves, conf)
+    DatasetStats(rows, rel.sizeInBytes, cols)
+  }
+
+  /** The relation and the stats-bearing leaves of a flattened frame's plan,
+    * when it projects them straight out of one unpartitioned parquet
+    * relation. Any other expression may only produce a column the catalog
+    * keeps no stats for (a map's sorted entries, an array).
+    */
+  private def scan(plan: LogicalPlan): Option[(HadoopFsRelation, Seq[Leaf])] = plan match {
+    case Project(list, child) =>
+      relation(child).flatMap { rel =>
+        val kept = list.filter(e => StatsCatalog.hasStats(e.dataType))
+        val leaves = kept.flatMap(e => column(e, child).map(Leaf(e.name, _, e.dataType)))
+        if (leaves.size == kept.size) Some(rel -> leaves) else None
+      }
+    case _ => None
+  }
+
+  private def relation(plan: LogicalPlan): Option[HadoopFsRelation] = plan match {
+    case Project(_, child) => relation(child)
+    case l: LogicalRelation => l.relation match {
+      case r: HadoopFsRelation if r.fileFormat.isInstanceOf[ParquetFileFormat] && r.partitionSchema.isEmpty &&
+          !r.sparkSession.sessionState.conf.parquetFieldIdReadEnabled => Some(r)
+      case _ => None
+    }
+    case _ => None
+  }
+
+  /** The path of the stored column `e` reads as is out of `plan`'s relation. */
+  private def column(e: Expression, plan: LogicalPlan): Option[Seq[String]] = e match {
+    case Alias(c, _)       => column(c, plan)
+    case g: GetStructField => column(g.child, plan).map(_ :+ g.extractFieldName)
+    case a: AttributeReference => plan match {
+      case Project(list, child) => list.find(_.exprId == a.exprId).flatMap(column(_, child))
+      case l: LogicalRelation   => l.output.find(_.exprId == a.exprId).map(r => Seq(r.name))
+      case _                    => None
+    }
+    case _ => None
+  }
+
+  /** Row count and merged min/max of `leaves` over every row group of
+    * `rel`'s files. Chunks merge in parquet's own order on their stored
+    * values, which are decoded once at the end.
+    */
+  private def footers(rel: HadoopFsRelation, leaves: Seq[Leaf], conf: Configuration): (Long, Map[String, ColStats]) = {
+    val rebaseMode = new ParquetOptions(rel.options, rel.sparkSession.sessionState.conf).datetimeRebaseModeInRead
+    var rows = 0L
+    val merged = scala.collection.mutable.Map.empty[Leaf, (PrimitiveType, Statistics[_])]
+    val inexact = scala.collection.mutable.Set.empty[Leaf]
+
+    // One chunk of `leaf`; false when it leaves the column without exact stats.
+    def add(leaf: Leaf, cc: ColumnChunkMetaData, rebased: Boolean): Boolean = {
+      val pt = cc.getPrimitiveType
+      val s: Statistics[_] = cc.getStatistics
+      val sameType = merged.get(leaf).forall { case (t, _) =>
+        t.getPrimitiveTypeName == pt.getPrimitiveTypeName && t.getLogicalTypeAnnotation == pt.getLogicalTypeAnnotation
+      }
+      if (s == null || !sameType || decoder(leaf.dataType, pt).isEmpty) false
+      else if (rebased && (leaf.dataType == DateType || leaf.dataType == TimestampType)) false
+      else if (!s.hasNonNullValue) s.isNumNullsSet && s.getNumNulls == cc.getValueCount // all null: adds nothing
+      else {
+        merged.get(leaf) match {
+          case None         => merged(leaf) = pt -> s.copy()
+          case Some((_, m)) => m.mergeStatistics(s)
         }
-      case PrimitiveTypeName.DOUBLE =>
-        num(s.genericGetMin.asInstanceOf[java.lang.Double], s.genericGetMax.asInstanceOf[java.lang.Double])
-      case PrimitiveTypeName.FLOAT =>
-        num(s.genericGetMin.asInstanceOf[java.lang.Float].toDouble, s.genericGetMax.asInstanceOf[java.lang.Float].toDouble)
-      case PrimitiveTypeName.BOOLEAN =>
-        val lo = if (s.genericGetMin.asInstanceOf[java.lang.Boolean]) 1.0 else 0.0
-        val hi = if (s.genericGetMax.asInstanceOf[java.lang.Boolean]) 1.0 else 0.0
-        num(lo, hi)
-      case PrimitiveTypeName.BINARY =>
-        logical match {
-          case _: LogicalTypeAnnotation.StringLogicalTypeAnnotation =>
-            Some(StrStats(
-              s.genericGetMin.asInstanceOf[Binary].toStringUsingUTF8,
-              s.genericGetMax.asInstanceOf[Binary].toStringUsingUTF8,
-            ))
-          case _ => None // opaque binary — MMP cannot use it
+        true
+      }
+    }
+
+    for (file <- rel.location.inputFiles) {
+      val reader = ParquetFileReader.open(HadoopInputFile.fromPath(new Path(new URI(file)), conf))
+      val footer = try reader.getFooter finally reader.close()
+      val meta = footer.getFileMetaData.getKeyValueMetaData
+      val rebased = DataSourceUtils.datetimeRebaseSpec(k => meta.get(k), rebaseMode).mode == LegacyBehaviorPolicy.LEGACY
+      for (block <- footer.getBlocks.asScala) {
+        rows += block.getRowCount
+        val chunks = block.getColumns.asScala.map(c => c.getPath.toArray.toSeq -> c).toMap
+        for (leaf <- leaves if !inexact(leaf))
+          if (!chunks.get(leaf.path).exists(add(leaf, _, rebased))) inexact += leaf
+      }
+    }
+    val cols = merged.collect { case (leaf, (pt, s)) if !inexact(leaf) => leaf.token -> decoder(leaf.dataType, pt).get(s) }
+    (rows, cols.toMap)
+  }
+
+  /** How the stored min/max of a chunk of type `pt` become the catalog's
+    * stats for a column of Spark type `dt`, when they do exactly: each
+    * value becomes the object Spark's `collect` gives for it, canonicalized
+    * as in [[StatsCatalog.compute]]. Spark reads these stored types as the
+    * values they hold; INT96 timestamps, binary and fixed-length decimals and
+    * non-string binary are not decoded.
+    */
+  private def decoder(dt: DataType, pt: PrimitiveType): Option[Statistics[_] => ColStats] = {
+    def num(f: Any => Any): Option[Statistics[_] => ColStats] =
+      Some(s => NumStats(StatsCatalog.canonical(f(s.genericGetMin)), StatsCatalog.canonical(f(s.genericGetMax))))
+    def long(v: Any): Long = v.asInstanceOf[Number].longValue
+    val signed = pt.getLogicalTypeAnnotation match {
+      case null                        => true
+      case i: IntLogicalTypeAnnotation => i.isSigned
+      case _                           => false
+    }
+    (dt, pt.getPrimitiveTypeName, pt.getLogicalTypeAnnotation) match {
+      case (BooleanType, BOOLEAN, null) | (FloatType, FLOAT, null) | (DoubleType, DOUBLE, null) => num(identity)
+      case (ByteType | ShortType | IntegerType, INT32, _) if signed => num(identity)
+      case (LongType, INT64, _) if signed                           => num(identity)
+      case (d: DecimalType, INT32 | INT64, a: DecimalLogicalTypeAnnotation) if a.getScale == d.scale =>
+        num(v => java.math.BigDecimal.valueOf(long(v), d.scale))
+      case (DateType, INT32, _: DateLogicalTypeAnnotation) =>
+        num(v => DateTimeUtils.toJavaDate(v.asInstanceOf[Integer]))
+      case (TimestampType, INT64, t: TimestampLogicalTypeAnnotation) if t.isAdjustedToUTC =>
+        val micros = t.getUnit match {
+          case TimeUnit.MILLIS => Some(1000L)
+          case TimeUnit.MICROS => Some(1L)
+          case TimeUnit.NANOS  => None
         }
+        micros.flatMap(m => num(v => DateTimeUtils.toJavaTimestamp(long(v) * m)))
+      case (StringType, BINARY, _: StringLogicalTypeAnnotation) =>
+        Some(s => StrStats(s.genericGetMin.asInstanceOf[Binary].toStringUsingUTF8, s.genericGetMax.asInstanceOf[Binary].toStringUsingUTF8))
       case _ => None
     }
   }

@@ -35,10 +35,11 @@ final case class DatasetStats(rowCount: Long, sizeBytes: Long, cols: Map[String,
   *
   * In the paper, MMP reads columnar min/max from parquet partition metadata
   * (or a cache of it) so that no table scan is needed at pruning time. This
-  * catalog is that substrate: stats are computed once at ingestion time with
-  * a single aggregation job per dataset and thereafter served from memory.
-  * [[ParquetStats]] provides the alternative path that reads the same
-  * numbers directly from real parquet footers.
+  * catalog is that substrate: stats are taken once at ingestion time and
+  * thereafter served from memory. A frame read straight from parquet gets
+  * them from its footers ([[ParquetStats.of]]), with no Spark job; any other
+  * frame (filtered, unioned, derived or in memory) gets them from one
+  * aggregation over its rows ([[StatsCatalog.compute]]).
   */
 final class StatsCatalog {
   private val cache = scala.collection.mutable.Map.empty[String, DatasetStats]
@@ -49,9 +50,11 @@ final class StatsCatalog {
   def get(name: String): Option[DatasetStats] = cache.get(name)
   def names: Set[String] = cache.keySet.toSet
 
-  /** Compute and register stats for `df` with one aggregation job. */
+  /** Take and register stats for `df`: from its parquet footers when they
+    * are exact, else with one aggregation.
+    */
   def ingest(name: String, df: DataFrame): DatasetStats = {
-    val s = StatsCatalog.compute(df)
+    val s = ParquetStats.of(df).getOrElse(StatsCatalog.compute(df))
     put(name, s)
     s
   }
@@ -78,29 +81,38 @@ object StatsCatalog {
   def flatten(df: DataFrame): DataFrame =
     df.select(SchemaSet.leaves(df.schema).map { case (tok, c) => c.as(tok) }: _*)
 
+  /** The Spark types the catalog keeps min/max for: numerics, dates,
+    * timestamps, booleans and strings in Spark's binary collation.
+    */
+  private[stats] def hasStats(dt: DataType): Boolean = dt match {
+    case _: NumericType | DateType | TimestampType | BooleanType | StringType => true
+    case _ => false
+  }
+
+  /** The canonical form of a non-string min or max, as Spark's `collect`
+    * returns it: dates become epoch days, timestamps epoch millis
+    * (`Timestamp.getTime`, which floors), booleans 0/1.
+    */
+  private[stats] def canonical(v: Any): Double = v match {
+    case d: java.sql.Date         => d.toLocalDate.toEpochDay.toDouble
+    case t: java.sql.Timestamp    => t.getTime.toDouble
+    case b: Boolean               => if (b) 1.0 else 0.0
+    case bd: java.math.BigDecimal => bd.doubleValue
+    case n: Number                => n.doubleValue
+    case other => throw new IllegalArgumentException(s"non-numeric stat value $other")
+  }
+
   /** One-pass min/max/count over every orderable scalar leaf of `df`. */
   def compute(df: DataFrame): DatasetStats = {
     val flat = flatten(df)
     val aggs = flat.schema.fields.toSeq.flatMap { f =>
-      f.dataType match {
-        case _: NumericType | DateType | TimestampType | BooleanType | StringType =>
-          Seq(min(qcol(f.name)).as(s"min::${f.name}"), max(qcol(f.name)).as(s"max::${f.name}"))
-        case _ => Seq.empty
-      }
+      if (hasStats(f.dataType)) Seq(min(qcol(f.name)).as(s"min::${f.name}"), max(qcol(f.name)).as(s"max::${f.name}"))
+      else Seq.empty
     } :+ count(lit(1)).as("cnt::")
 
     val row = flat.agg(aggs.head, aggs.tail: _*).collect()(0)
     val byName = row.schema.fieldNames.zipWithIndex.toMap
     val rowCount = row.getLong(byName("cnt::"))
-
-    def numeric(v: Any): Double = v match {
-      case d: java.sql.Date      => d.toLocalDate.toEpochDay.toDouble
-      case t: java.sql.Timestamp => t.getTime.toDouble
-      case b: Boolean            => if (b) 1.0 else 0.0
-      case bd: java.math.BigDecimal => bd.doubleValue
-      case n: Number             => n.doubleValue
-      case other => throw new IllegalArgumentException(s"non-numeric stat value $other")
-    }
 
     val cols = flat.schema.fields.toSeq.flatMap { f =>
       val tok = f.name
@@ -108,7 +120,7 @@ object StatsCatalog {
         case (Some(i), Some(j)) if row.get(i) != null && row.get(j) != null =>
           f.dataType match {
             case StringType => Some(tok -> StrStats(row.getString(i), row.getString(j)))
-            case _          => Some(tok -> NumStats(numeric(row.get(i)), numeric(row.get(j))))
+            case _          => Some(tok -> NumStats(canonical(row.get(i)), canonical(row.get(j))))
           }
         case _ => None
       }

@@ -1,6 +1,8 @@
 package repro
 
-import org.apache.spark.sql.SparkSession
+import java.nio.file.Files
+
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
 
@@ -16,6 +18,22 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
   override def afterAll(): Unit = { super.afterAll() }
+
+  /** Write `df` as `parts` parquet files into a fresh temporary directory;
+    * timestamps are stored as annotated INT64 micros, whose footers carry
+    * statistics (Spark's default, INT96, has none). Returns the directory.
+    */
+  def parquetDir(df: DataFrame, parts: Int = 1): String = {
+    val dir = Files.createTempDirectory("parquet").toFile
+    dir.deleteOnExit()
+    val path = s"${dir.getAbsolutePath}/t"
+    val key = "spark.sql.parquet.outputTimestampType"
+    val old = spark.conf.getOption(key)
+    spark.conf.set(key, "TIMESTAMP_MICROS")
+    try df.repartition(parts).write.parquet(path)
+    finally old.fold(spark.conf.unset(key))(spark.conf.set(key, _))
+    path
+  }
 }
 
 object SparkSpec {

@@ -3,6 +3,7 @@ package repro.core
 import org.apache.spark.sql.functions._
 
 import repro.{SparkSpec, SynthData}
+import repro.stats.{ParquetStats, StatsCatalog}
 
 /** The user-facing facade: hand it named DataFrames, get a containment graph. */
 class R2D2Spec extends SparkSpec {
@@ -52,22 +53,34 @@ class R2D2Spec extends SparkSpec {
     assert(r.containmentGraph.edges.contains(Edge("n", "m")))
   }
 
+  /** The type matrix: nested structs, arrays, a map `m`, binary, decimals,
+    * sub-millisecond timestamps, NaN, -0.0, strings outside the BMP (where
+    * UTF-16 and UTF-8 orders disagree) and null columns.
+    */
+  private def typed(m: org.apache.spark.sql.Column) = spark.range(60).select(
+    col("id"),
+    struct(col("id").as("k"), struct((col("id") * 2).as("z")).as("inner")).as("s"),
+    array(struct(col("id").as("a"), col("id").cast("string").as("b"))).as("items"),
+    array(col("id").cast("int"), (col("id") + 1).cast("int")).as("xs"),
+    m.as("m"),
+    col("id").cast("string").cast("binary").as("bin"),
+    (col("id") / 7).cast("decimal(12,4)").as("dec"),
+    ((col("id") - 30) * 1.37).cast("decimal(10,2)").as("dec2"),
+    timestamp_micros(lit(1577836800000000L) + col("id") * 1250 - 30000).as("ts"),
+    when(col("id") % 7 === 3, lit(Double.NaN)).otherwise(col("id") / 4).as("nan"),
+    when(col("id") % 5 === 0, lit(-0.0)).otherwise(col("id").cast("double")).as("negz"),
+    when(col("id") % 3 === 0, concat(lit("\uD83D\uDE00"), col("id").cast("string")))
+      .otherwise(concat(lit("\uFF61"), col("id").cast("string"))).as("astral"),
+    lit(null).cast("string").as("nothing"),
+    when(col("id") % 3 =!= 0, col("id")).as("sometimes"),
+  )
+  private lazy val matrixParent = typed(map(lit("k"), col("id").cast("int"), lit("j"), (col("id") * 3).cast("int"))).cache()
+  // The same maps, inserted in the other order.
+  private lazy val matrixChild = typed(map(lit("j"), (col("id") * 3).cast("int"), lit("k"), col("id").cast("int")))
+    .where(col("id") % 2 === 0).cache()
+
   test("type matrix: nested, array, map, binary, decimal and null columns keep a true edge") {
-    def typed(m: org.apache.spark.sql.Column) = spark.range(60).select(
-      col("id"),
-      struct(col("id").as("k"), struct((col("id") * 2).as("z")).as("inner")).as("s"),
-      array(struct(col("id").as("a"), col("id").cast("string").as("b"))).as("items"),
-      array(col("id").cast("int"), (col("id") + 1).cast("int")).as("xs"),
-      m.as("m"),
-      col("id").cast("string").cast("binary").as("bin"),
-      (col("id") / 7).cast("decimal(12,4)").as("dec"),
-      lit(null).cast("string").as("nothing"),
-      when(col("id") % 3 =!= 0, col("id")).as("sometimes"),
-    )
-    val p = typed(map(lit("k"), col("id").cast("int"), lit("j"), (col("id") * 3).cast("int"))).cache()
-    // The same maps, inserted in the other order.
-    val c = typed(map(lit("j"), (col("id") * 3).cast("int"), lit("k"), col("id").cast("int")))
-      .where(col("id") % 2 === 0).cache()
+    val (p, c) = (matrixParent, matrixChild)
     val r = R2D2.run(Seq("p" -> p, "c" -> c))
     assert(r.schemas("p").tokens.contains("s.inner.z") && r.schemas("p").tokens.contains("m"))
     assert(r.containmentGraph.edges.contains(Edge("p", "c")))
@@ -75,5 +88,24 @@ class R2D2Spec extends SparkSpec {
     val st = R2D2State.fromRun(Map("p" -> p, "c" -> c), r)
     val (st1, _) = DynamicUpdates.addDataset(st, "low", p.where(col("id") < 20))
     assert(st1.graph.edges.contains(Edge("p", "low")))
+  }
+
+  test("type matrix on parquet, as 1 and as 4 files: footer stats equal computed ones, and the graph is the in-memory one") {
+    val inMemory = R2D2.run(Seq("p" -> matrixParent, "c" -> matrixChild))
+    for (parts <- Seq(1, 4)) {
+      val frames = Seq("p" -> matrixParent, "c" -> matrixChild).map { case (n, df) => n -> spark.read.parquet(parquetDir(df, parts)) }
+      for ((n, df) <- frames) {
+        val footer = ParquetStats.of(df).getOrElse(fail(s"$n: a plain parquet read must take the footer path"))
+        val computed = StatsCatalog.compute(df)
+        assert(footer.rowCount == computed.rowCount && footer.sizeBytes == computed.sizeBytes)
+        for ((c, got) <- footer.cols) assert(computed.cols.get(c).contains(got), s"$n/$parts files, $c: footer=$got computed=${computed.cols.get(c)}")
+        // Every column the aggregate reports but NaN's: its footers keep no min/max.
+        assert(footer.cols.keySet == computed.cols.keySet - "nan", s"$n/$parts files")
+      }
+      val onDisk = R2D2.run(frames)
+      assert(onDisk.mmp.graph == inMemory.mmp.graph, s"$parts files")
+      assert(onDisk.containmentGraph == inMemory.containmentGraph, s"$parts files")
+      assert(onDisk.containmentGraph.edges.contains(Edge("p", "c")))
+    }
   }
 }

@@ -1,8 +1,10 @@
 package repro.stats
 
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.functions._
 
 import repro.{Oracle, SparkSpec, SynthData}
+import repro.core.{Edge, R2D2}
 
 class StatsCatalogSpec extends SparkSpec {
 
@@ -104,5 +106,60 @@ class StatsCatalogSpec extends SparkSpec {
     val big = StatsCatalog.compute(li)
     assert(big.sizeBytes > small.sizeBytes)
     assert(small.sizeBytes > 0)
+  }
+
+  // A parent on parquet and, on files of their own, rows it holds (id < 50)
+  // and rows it lacks: any frame over the latter files has a wider range
+  // than its rows.
+  private lazy val parentDir = parquetDir(spark.range(50).select(col("id"), (col("id") * 3).as("v")))
+  private lazy val wideDir = parquetDir(spark.range(100).select(col("id"), (col("id") * 3).as("v")), parts = 2)
+
+  test("a plain or cached parquet read takes the footer path") {
+    val df = spark.read.parquet(parentDir)
+    assert(ParquetStats.of(df).contains(StatsCatalog.compute(df)))
+    assert(ParquetStats.of(df.cache()).isDefined)
+    assert(ParquetStats.of(StatsCatalog.flatten(df.select(struct(col("id")).as("s"), col("v")))).isEmpty) // a derived struct
+    df.unpersist()
+  }
+
+  test("a where child of parquet files takes the aggregate path and keeps its edge") {
+    val child = spark.read.parquet(wideDir).where(col("id") < 50)
+    assert(ParquetStats.of(child).isEmpty)
+    val parent = spark.read.parquet(parentDir)
+    assert(R2D2.run(Seq("p" -> parent, "c" -> child)).containmentGraph.edges.contains(Edge("p", "c")))
+  }
+
+  test("a union child of parquet reads takes the aggregate path and keeps its edge") {
+    val lo = spark.read.parquet(parquetDir(spark.range(20).select(col("id"), (col("id") * 3).as("v"))))
+    val child = lo.union(spark.read.parquet(wideDir).where(col("id").between(20, 49)))
+    assert(ParquetStats.of(child).isEmpty && ParquetStats.of(lo.union(lo)).isEmpty)
+    val parent = spark.read.parquet(parentDir)
+    assert(R2D2.run(Seq("p" -> parent, "c" -> child)).containmentGraph.edges.contains(Edge("p", "c")))
+  }
+
+  test("ingest of a plain parquet read runs no Spark job") {
+    val sc = spark.sparkContext
+    val df = spark.read.parquet(parquetDir(li, parts = 4))
+    val jobs = new java.util.concurrent.ConcurrentLinkedQueue[String]
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        jobs.add(String.valueOf(Option(e.properties).map(_.getProperty("spark.job.description")).orNull))
+    }
+    sc.addSparkListener(listener)
+    try {
+      sc.setJobDescription("stats-ingest")
+      val s = new StatsCatalog().ingest("li", df)
+      // Listener events arrive in order: once the sentinel job is seen, so is every ingest job.
+      sc.setJobDescription("stats-sentinel")
+      spark.range(1).collect()
+      val deadline = System.nanoTime() + 30000000000L
+      while (!jobs.contains("stats-sentinel") && System.nanoTime() < deadline) Thread.sleep(20)
+      assert(jobs.contains("stats-sentinel"))
+      assert(!jobs.contains("stats-ingest"))
+      assert(s.rowCount == li.count())
+    } finally {
+      sc.setJobDescription(null)
+      sc.removeSparkListener(listener)
+    }
   }
 }
