@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.{Column, DataFrame, Row}
 import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types.{ArrayType, MapType, StructType}
+import org.apache.spark.sql.types.{ArrayType, DataType, MapType, StringType, StructType}
 
 import scala.jdk.CollectionConverters._
 
@@ -25,7 +25,7 @@ final case class CLPConfig(
     * value in the row with the smallest salted content hash.
     */
   val pivotCandidates: Int = 64
-  /** How many children, parents or confirmations are processed concurrently. */
+  /** How many children, parents or join-confirmed edges are processed concurrently. */
   val parallelism: Int = Par.Threads
 }
 
@@ -60,10 +60,19 @@ final case class CLPResult(
   *  - (b) '''One hash scan per parent.''' A narrow scan hashes the parent
   *     projected onto each incoming child's columns and keeps the hashes
   *     found in that child's sample.
-  *  - (c) '''Exact confirmation.''' An edge with a sampled row whose hash was
-  *     not found is pruned only if a null-safe left-anti join of those rows
-  *     against the parent returns a row, so a hash collision can only keep
-  *     an edge, and type coercion and `-0.0 = 0.0` behave as `<=>` does.
+  *  - (c) '''Verdicts.''' An edge whose sampled rows were all found is
+  *     kept: a hash collision can only keep an edge. An edge with a missing
+  *     hash is pruned straight away when every common column is
+  *     [[hashExact]] on both sides, since equal values of one type hash
+  *     equal (Spark's `xxhash64` also equates `-0.0` with `0.0` and every NaN,
+  *     as `<=>` does). Any other such edge (int vs long, float vs double,
+  *     decimals of different scale, date vs timestamp, non-binary
+  *     collations, where `<=>` coerces but the hashes differ) is pruned only
+  *     if a null-safe left-anti join of its missing rows against the parent
+  *     returns a row.
+  *
+  * Every Spark job is described as `clp: sample`, `clp: scan` or
+  * `clp: confirm`, after its phase.
   *
   * Search columns are drawn from the scalar leaves only: an array (or a map,
   * flattened to sorted entries) has no literal to filter by. Such leaves
@@ -74,7 +83,7 @@ object CLP {
   /** Probe results of one (child, common columns) group: the rows each probe
     * drew, keyed by their unsalted content hash.
     */
-  private final case class Sample(common: Seq[String], schema: StructType, probes: Seq[Map[Long, Row]]) {
+  private[core] final case class Sample(common: Seq[String], schema: StructType, probes: Seq[Map[Long, Row]]) {
     val rows: Map[Long, Row] = probes.foldLeft(Map.empty[Long, Row])(_ ++ _)
     def drawn: Long = probes.count(_.nonEmpty).toLong
   }
@@ -92,28 +101,65 @@ object CLP {
 
     // (a) one sample per (child, common columns)
     val groups = probed.map(groupOf).distinct
-    val samples = groups.zip(Par.map(groups) { case (c, common) => sample(c, dfs(c), common, cfg) }).toMap
+    val samples = groups.zip(Par.map(groups) { case (c, common) =>
+      phase(dfs(c), "sample")(sample(c, dfs(c), common, cfg))
+    }).toMap
     val sampleOf = (e: Edge) => samples(groupOf(e))
 
     // (b) one scan per parent, over every incoming edge whose child drew rows
     val byParent = probed.filter(sampleOf(_).rows.nonEmpty).groupBy(_.parent).toSeq.sortBy(_._1)
-    val found = Par.map(byParent) { case (p, es) => es.zip(foundHashes(dfs(p), es.map(sampleOf))) }.flatten
+    val found = Par.map(byParent) { case (p, es) =>
+      es.zip(phase(dfs(p), "scan")(foundHashes(dfs(p), es.map(sampleOf))))
+    }.flatten
 
-    // (c) exact confirmation of every edge with a hash miss
+    // (c) a hash miss prunes a hash-exact edge; any other edge with one is
+    // pruned only if the join confirms it
     val suspects = found.flatMap { case (e, hit) =>
       val missing = sampleOf(e).rows.filter { case (h, _) => !hit(h) }.values.toSeq
       if (missing.isEmpty) None else Some(e -> missing)
     }
-    val pruned = Par.map(suspects) { case (e, rows) => e -> refutes(dfs(e.parent), sampleOf(e), rows) }
-      .collect { case (e, true) => e }.toSet
+    val (proven, unproven) = suspects.partition { case (e, _) =>
+      val (p, c) = (dfs(e.parent).schema, dfs(e.child).schema)
+      sampleOf(e).common.forall(t => hashExact(c(t).dataType, p(t).dataType))
+    }
+    val confirmed = Par.map(unproven) { case (e, rows) =>
+      e -> phase(dfs(e.parent), "confirm")(refutes(dfs(e.parent), sampleOf(e), rows))
+    }.collect { case (e, true) => e }
+    val pruned = proven.map(_._1).toSet ++ confirmed
 
     CLPResult(graph.removeEdges(pruned), pruned, probed.map(sampleOf(_).drawn).sum)
+  }
+
+  /** Can a content-hash miss on this column stand as proof that the value is
+    * absent? Only when both sides hash it alike: the same type at every
+    * depth (nullability aside, which `xxhash64` does not read; struct field
+    * names included) and every string in the binary collation.
+    */
+  private[core] def hashExact(child: DataType, parent: DataType): Boolean = (child, parent) match {
+    case (a: ArrayType, b: ArrayType)   => hashExact(a.elementType, b.elementType)
+    case (a: MapType, b: MapType)       => hashExact(a.keyType, b.keyType) && hashExact(a.valueType, b.valueType)
+    case (a: StructType, b: StructType) =>
+      a.length == b.length && a.fields.zip(b.fields).forall { case (f, g) => f.name == g.name && hashExact(f.dataType, g.dataType) }
+    case (a: StringType, b: StringType) => a.collationId == StringType.collationId && b.collationId == StringType.collationId
+    case _                              => child == parent
+  }
+
+  /** Runs `body` with its Spark jobs described as `clp: <name>`, then puts
+    * back the thread's previous description. Only the description is set:
+    * job groups and other local properties stay the caller's.
+    */
+  private def phase[A](df: DataFrame, name: String)(body: => A): A = {
+    val sc = df.sparkSession.sparkContext
+    val key = "spark.job.description"
+    val previous = sc.getLocalProperty(key)
+    sc.setJobDescription(s"clp: $name")
+    try body finally sc.setLocalProperty(key, previous)
   }
 
   /** Phase (a): two Spark actions, one for every probe's pivot and one for
     * every probe's rows, each a per-partition pass merged on the driver.
     */
-  private def sample(child: String, df: DataFrame, common: Seq[String], cfg: CLPConfig): Sample = {
+  private[core] def sample(child: String, df: DataFrame, common: Seq[String], cfg: CLPConfig): Sample = {
     val cols: Seq[Column] = common.map(qcol)
     val schema = df.select(cols: _*).schema
     val rng = new scala.util.Random(cfg.seed ^ child.hashCode.toLong)
@@ -183,10 +229,11 @@ object CLP {
     (0 until n).map(g => perPartition.flatMap(_(g)).toSet)
   }
 
-  /** Phase (c): does some row of `rows` (drawn by `s`) miss from the parent
-    * under a null-safe join on all of the sample's columns?
+  /** Phase (c), for an edge that is not hash-exact: does some row of `rows`
+    * (drawn by `s`) miss from the parent under a null-safe join on all of
+    * the sample's columns?
     */
-  private def refutes(parentDf: DataFrame, s: Sample, rows: Seq[Row]): Boolean = {
+  private[core] def refutes(parentDf: DataFrame, s: Sample, rows: Seq[Row]): Boolean = {
     val sampled = parentDf.sparkSession.createDataFrame(rows.asJava, s.schema).alias("l")
     val parentSide = parentDf.select(s.common.map(qcol): _*).alias("r")
     val cond = s.common.map(t => col(s"l.`$t`") <=> col(s"r.`$t`")).reduce(_ && _)

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, Row}
 
 /** A fully-materialized table for brute-force ground-truth computation:
   * canonical string values per cell, columns in schema-token order.
@@ -21,15 +21,24 @@ final case class TableData(name: String, columns: Seq[String], rows: Array[Array
 }
 
 object TableData {
-  /** Canonical cell formatting — identical values collected twice must
-    * stringify identically. Byte arrays render by content, in hex: their
-    * `toString` is an identity hash.
+  /** Canonical cell formatting: values equal under `<=>` render identically,
+    * at any depth. Byte arrays render by content, in hex (their `toString` is
+    * an identity hash); `-0.0` renders as `0.0`; arrays and structs render
+    * element by element, each element prefixed by its length so that no two
+    * different values share a rendering.
     */
   def cell(v: Any): String = v match {
-    case null           => "∅"
-    case b: Array[Byte] => java.util.HexFormat.of().formatHex(b)
-    case _              => v.toString
+    case null                        => "∅"
+    case b: Array[Byte]              => java.util.HexFormat.of().formatHex(b)
+    case d: Double if d == 0.0       => "0.0"
+    case f: Float if f == 0.0f       => "0.0"
+    case xs: scala.collection.Seq[_] => elements(xs, "[", "]")
+    case r: Row                      => elements(r.toSeq, "{", "}")
+    case _                           => v.toString
   }
+
+  private def elements(xs: Iterable[Any], open: String, close: String): String =
+    xs.iterator.map { x => val s = cell(x); s"${s.length}:$s" }.mkString(open, ",", close)
 
   def fromDf(name: String, df: DataFrame): TableData = {
     val cols = df.columns.toSeq

@@ -1,8 +1,8 @@
 package repro.core
 
 import org.apache.spark.sql.Column
-import org.apache.spark.sql.functions.{array_sort, col, map_entries}
-import org.apache.spark.sql.types.{DataType, MapType, StructType}
+import org.apache.spark.sql.functions.{array_sort, col, map_entries, struct, transform, transform_values, when}
+import org.apache.spark.sql.types.{ArrayType, DataType, MapType, StructType}
 
 /** A flattened schema set, as used throughout the R2D2 pipeline (§4.1 step 1).
   *
@@ -25,19 +25,37 @@ object SchemaSet {
     * the column that projects it out of a frame of this schema.
     *
     * Struct fields recurse with a `parent.child` prefix; every other type,
-    * arrays and maps included, is a leaf. A map leaf is projected as its
-    * sorted entries, `array_sort(map_entries(m))`: maps are not comparable
-    * in Spark, sorted entry arrays are, and equal maps give equal arrays
-    * whatever their insertion order.
+    * arrays and maps included, is a leaf. A map, at any depth of a leaf, is
+    * projected as its sorted entries, `array_sort(map_entries(m))`: maps are
+    * neither comparable nor hashable in Spark, sorted entry arrays are, and
+    * equal maps give equal arrays whatever their insertion order. Maps
+    * nested in array elements, map values or struct fields inside them are
+    * rewritten first, so the entries can be sorted.
     */
   def leaves(schema: StructType): Seq[(String, Column)] = {
     def walk(token: String, c: Column, dt: DataType): Seq[(String, Column)] = dt match {
       case st: StructType =>
         st.fields.toSeq.flatMap(f => walk(s"$token.${f.name}", c.getField(f.name), f.dataType))
-      case _: MapType => Seq(token -> array_sort(map_entries(c)))
-      case _          => Seq(token -> c)
+      case _ => Seq(token -> canonical(c, dt))
     }
     schema.fields.toSeq.flatMap(f => walk(f.name, col(s"`${f.name}`"), f.dataType))
+  }
+
+  /** `c`, of type `dt`, with every map inside it replaced by its sorted entries. */
+  private def canonical(c: Column, dt: DataType): Column = dt match {
+    case m: MapType =>
+      array_sort(map_entries(if (hasMap(m.valueType)) transform_values(c, (_, v) => canonical(v, m.valueType)) else c))
+    case a: ArrayType if hasMap(a) => transform(c, canonical(_, a.elementType))
+    case st: StructType if hasMap(st) =>
+      when(c.isNotNull, struct(st.fields.toSeq.map(f => canonical(c.getField(f.name), f.dataType).as(f.name)): _*))
+    case _ => c
+  }
+
+  private def hasMap(dt: DataType): Boolean = dt match {
+    case _: MapType     => true
+    case a: ArrayType   => hasMap(a.elementType)
+    case st: StructType => st.fields.exists(f => hasMap(f.dataType))
+    case _              => false
   }
 
   /** The flattened schema set of a (possibly nested) Spark schema. */

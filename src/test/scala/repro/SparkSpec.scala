@@ -1,10 +1,14 @@
 package repro
 
 import java.nio.file.Files
+import java.util.concurrent.ConcurrentLinkedQueue
 
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
+
+import scala.jdk.CollectionConverters._
 
 /** Base for every test: one local-mode SparkSession for the whole run.
   *
@@ -33,6 +37,34 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
     try df.repartition(parts).write.parquet(path)
     finally old.fold(spark.conf.unset(key))(spark.conf.set(key, _))
     path
+  }
+
+  /** Runs `body` and returns its result with the description of every Spark
+    * job started meanwhile, from any thread, in start order ("null" where
+    * none was set). Listener events arrive in order: once a sentinel job run
+    * after `body` is seen, so is every job of `body`.
+    */
+  def jobDescriptions[A](body: => A): (A, Seq[String]) = {
+    val sc = spark.sparkContext
+    val jobs = new ConcurrentLinkedQueue[String]
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        jobs.add(String.valueOf(Option(e.properties).map(_.getProperty("spark.job.description")).orNull))
+    }
+    val sentinel = "sentinel"
+    sc.addSparkListener(listener)
+    try {
+      val result = body
+      sc.setJobDescription(sentinel)
+      spark.range(1).collect()
+      val deadline = System.nanoTime() + 30000000000L
+      while (!jobs.contains(sentinel) && System.nanoTime() < deadline) Thread.sleep(20)
+      assert(jobs.contains(sentinel))
+      (result, jobs.asScala.toSeq.takeWhile(_ != sentinel))
+    } finally {
+      sc.setJobDescription(null)
+      sc.removeSparkListener(listener)
+    }
   }
 }
 

@@ -1,12 +1,16 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types._
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.util.Pretty
 
 import repro.{SparkSpec, SynthData}
 import repro.lake.Transformations
 import repro.stats.{NumStats, StatsCatalog}
 
+import scala.jdk.CollectionConverters._
 import scala.util.Random
 
 class CLPSpec extends SparkSpec {
@@ -201,5 +205,124 @@ class CLPSpec extends SparkSpec {
     assert(res.graph.edges == Set(Edge("keep", "c")))
     // One pass for the pivots and one for the rows, shared by both edges.
     assert(scans.value == 2)
+  }
+
+  test("hashExact: equal types at every depth, nullability aside, binary collation only") {
+    val pair = (n: Boolean) => ArrayType(StructType(Seq(StructField("a", IntegerType, n), StructField("b", StringType))), n)
+    assert(CLP.hashExact(pair(true), pair(false)))
+    assert(CLP.hashExact(MapType(StringType, ArrayType(DoubleType)), MapType(StringType, ArrayType(DoubleType))))
+    assert(!CLP.hashExact(IntegerType, LongType))
+    assert(!CLP.hashExact(FloatType, DoubleType))
+    assert(!CLP.hashExact(DecimalType(10, 2), DecimalType(12, 3)))
+    assert(!CLP.hashExact(DecimalType(10, 2), DecimalType(20, 2)))
+    assert(!CLP.hashExact(DateType, TimestampType))
+    assert(!CLP.hashExact(TimestampType, TimestampNTZType))
+    assert(!CLP.hashExact(ArrayType(IntegerType), ArrayType(LongType)))
+    assert(!CLP.hashExact(StringType("UTF8_LCASE"), StringType("UTF8_LCASE")))
+    assert(!CLP.hashExact(ArrayType(StringType("UTF8_LCASE")), ArrayType(StringType("UTF8_LCASE"))))
+    assert(!CLP.hashExact(pair(true), ArrayType(StructType(Seq(StructField("x", IntegerType), StructField("b", StringType))))))
+  }
+
+  test("a UTF8_LCASE child 'A' under a parent 'a' is kept: collated strings go through the join") {
+    val parent = spark.range(2).select(col("id"), collate(when(col("id") === 0, lit("a")).otherwise(lit("b")), "UTF8_LCASE").as("s"))
+    val child = spark.range(1).select(col("id"), collate(lit("A"), "UTF8_LCASE").as("s"))
+    assert(!CLP.hashExact(child.schema("s").dataType, parent.schema("s").dataType))
+    assert(!check(parent, child, CLPConfig(s = 2, t = 10)))
+  }
+
+  // The property's type matrix: each type with a small pool of values, so
+  // child rows often meet parent rows. The pools hold values that are equal
+  // under `<=>` but differ in their bits (-0.0 and 0.0, two NaN patterns,
+  // also inside arrays and structs), strings outside the BMP and nulls.
+  private val nan2 = java.lang.Double.longBitsToDouble(0x7ff8000000000abcL)
+  private val floatNan2 = java.lang.Float.intBitsToFloat(0x7fc00abc)
+  private val scalarPools: Seq[(DataType, Seq[Any])] = Seq(
+    IntegerType -> Seq(0, 1, -7, Int.MaxValue),
+    LongType -> Seq(0L, 1L, Long.MinValue),
+    DoubleType -> Seq(0.0, -0.0, 1.5, Double.NaN, nan2, Double.NegativeInfinity),
+    FloatType -> Seq(0.0f, -0.0f, 2.5f, Float.NaN, floatNan2),
+    DecimalType(12, 4) -> Seq("0", "1.25", "-3.1416").map(new java.math.BigDecimal(_)),
+    StringType -> Seq("", "a", "A", "\uD83D\uDE00", "\uFF61x"),
+    BinaryType -> Seq(Array[Byte](), Array[Byte](0, 1), Array[Byte](-1)),
+    BooleanType -> Seq(true, false),
+    DateType -> Seq(java.sql.Date.valueOf("2020-01-01"), java.sql.Date.valueOf("1969-12-31")),
+    TimestampType -> Seq("2020-01-01 00:00:00.000001", "2020-01-01 00:00:00").map(java.sql.Timestamp.valueOf),
+    TimestampNTZType -> Seq(java.time.LocalDateTime.of(2020, 1, 1, 0, 0, 0, 1000), java.time.LocalDateTime.of(1999, 12, 31, 23, 59)),
+  )
+  private val nestedPools: Seq[(DataType, Seq[Any])] = Seq(
+    ArrayType(DoubleType) -> Seq(Seq(0.0, 1.0), Seq(-0.0, 1.0), Seq(Double.NaN), Seq(nan2), Seq(null), Seq()),
+    ArrayType(StructType(Seq(StructField("a", IntegerType), StructField("b", StringType)))) ->
+      Seq(Seq(Row(1, "x")), Seq(Row(2, "\uD83D\uDE00")), Seq(Row(null, null))),
+    MapType(StringType, IntegerType) -> Seq(Map("k" -> 1, "j" -> 2), Map("j" -> 2, "k" -> 1), Map("k" -> 3)),
+    StructType(Seq(StructField("k", LongType), StructField("z", DoubleType))) -> Seq(Row(1L, -0.0), Row(1L, 0.0), Row(2L, null)),
+  )
+
+  /** The same value with other bits: -0.0 and 0.0, and the two NaN patterns, swapped at every depth. */
+  private def twin(v: Any): Any = v match {
+    case d: Double if d == 0.0 => -d
+    case d: Double if d.isNaN  => if (java.lang.Double.doubleToRawLongBits(d) == java.lang.Double.doubleToRawLongBits(nan2)) Double.NaN else nan2
+    case f: Float if f == 0.0f => -f
+    case f: Float if f.isNaN   => if (java.lang.Float.floatToRawIntBits(f) == java.lang.Float.floatToRawIntBits(floatNan2)) Float.NaN else floatNan2
+    case xs: Seq[_]            => xs.map(twin)
+    case r: Row                => Row.fromSeq(r.toSeq.map(twin))
+    case _                     => v
+  }
+
+  /** A parent and a child of one random schema: the child holds some parent
+    * rows (their twins, half the time) and up to two rows drawn afresh.
+    */
+  private val samePair: Gen[(StructType, Seq[Row], Seq[Row])] = for {
+    first <- Gen.oneOf(scalarPools)
+    n <- Gen.choose(0, 3)
+    rest <- Gen.listOfN(n, Gen.oneOf(scalarPools ++ nestedPools))
+    cols = first +: rest
+    row = cols.foldRight(Gen.const(List.empty[Any])) { case ((_, pool), tail) =>
+      for (v <- Gen.frequency(1 -> Gen.const(null), 5 -> Gen.oneOf(pool)); vs <- tail) yield v :: vs
+    }.map(Row.fromSeq)
+    parent <- Gen.choose(1, 10).flatMap(Gen.listOfN(_, row))
+    kept <- Gen.someOf(parent)
+    twins <- Gen.oneOf(true, false)
+    fresh <- Gen.choose(if (kept.isEmpty) 1 else 0, 2).flatMap(Gen.listOfN(_, row))
+  } yield {
+    val schema = StructType(cols.zipWithIndex.map { case ((dt, _), i) => StructField(s"c$i", dt) })
+    (schema, parent, kept.toSeq.map(r => if (twins) twin(r).asInstanceOf[Row] else r) ++ fresh)
+  }
+
+  test("property: on same-typed columns a hash miss prunes exactly when the null-safe anti-join on the same sample does") {
+    val verdicts = scala.collection.mutable.Set.empty[Boolean]
+    val prop = Prop.forAllNoShrink(samePair) { case (schema, parentRows, childRows) =>
+      val frame = (rows: Seq[Row]) => StatsCatalog.flatten(spark.createDataFrame(rows.asJava, schema))
+      val (parent, child) = (frame(parentRows), frame(childRows))
+      val cfg = CLPConfig(s = 4, t = 10)
+      val common = sch(child).tokens.toSeq.sorted
+      assert(common.forall(t => CLP.hashExact(child.schema(t).dataType, parent.schema(t).dataType)))
+      val pruned = pruneEdge(parent, child, cfg).pruned.nonEmpty
+      val drawn = CLP.sample("c", child, common, cfg)
+      val joined = CLP.refutes(parent, drawn, drawn.rows.values.toSeq)
+      verdicts += pruned
+      pruned == joined
+    }
+    val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(30).withInitialSeed(7L), prop)
+    assert(res.passed, Pretty.pretty(res))
+    // Both verdicts occur, so neither side of the equality is vacuous.
+    assert(verdicts == Set(true, false))
+  }
+
+  test("same-typed edges are pruned from the hash scan: 2·children + parents CLP jobs, none confirming") {
+    val lake = Map(
+      "p" -> li,
+      "filt" -> li.where(col("l_quantity") <= 25),
+      "bad" -> li.withColumn("l_quantity", col("l_quantity") + 1000),
+      "flagN" -> li.where(col("l_returnflag") === "N"),
+      "flagR" -> li.where(col("l_returnflag") === "R"),
+    )
+    val g = ContainmentGraph(lake.keys, Seq(Edge("p", "filt"), Edge("p", "bad"), Edge("flagN", "flagR")))
+    val (res, jobs) = jobDescriptions(CLP.prune(g, lake(_), n => sch(lake(n)), CLPConfig(s = 2, t = 5)))
+    assert(res.pruned == Set(Edge("p", "bad"), Edge("flagN", "flagR")))
+    // children filt, bad, flagR; parents p, flagN
+    assert(jobs.count(_ == "clp: sample") == 2 * 3)
+    assert(jobs.count(_ == "clp: scan") == 2)
+    assert(!jobs.contains("clp: confirm"))
+    assert(jobs.size == 2 * 3 + 2, jobs)
   }
 }

@@ -85,4 +85,29 @@ class GroundTruthSpec extends SparkSpec {
     val child = parent.where(col("id") < 5)
     assert(GroundTruth.containmentFraction(TableData.fromDf("c", child), TableData.fromDf("p", parent)) == 1.0)
   }
+
+  test("-0.0 and 0.0 are one value: a child holding -0.0 under a parent holding 0.0 is contained") {
+    val parent = spark.createDataFrame(Seq((1, 0.0, 0.0f), (2, 1.5, 1.5f))).toDF("id", "d", "f")
+    val child = spark.createDataFrame(Seq((1, -0.0, -0.0f))).toDF("id", "d", "f")
+    assert(GroundTruth.containmentFraction(TableData.fromDf("c", child), TableData.fromDf("p", parent)) == 1.0)
+  }
+
+  test("nested cells compare by content: a row subset with array<binary> and array<struct> columns is contained") {
+    val parent = spark.range(10).select(
+      col("id"),
+      array(col("id").cast("string").cast("binary"), lit(Array[Byte](1, 2))).as("bins"),
+      array(struct(col("id").cast("string").cast("binary").as("b"), lit(-0.0).as("z"))).as("items"),
+    )
+    val child = spark.range(5).select(
+      col("id"),
+      array(col("id").cast("string").cast("binary"), lit(Array[Byte](1, 2))).as("bins"),
+      array(struct(col("id").cast("string").cast("binary").as("b"), lit(0.0).as("z"))).as("items"),
+    )
+    assert(GroundTruth.containmentFraction(TableData.fromDf("c", child), TableData.fromDf("p", parent)) == 1.0)
+  }
+
+  test("nested cells render injectively: arrays whose elements join to the same text differ") {
+    assert(TableData.cell(Seq("a,b")) != TableData.cell(Seq("a", "b")))
+    assert(TableData.cell(Seq(Seq("a"), Seq())) != TableData.cell(Seq(Seq(), Seq("a"))))
+  }
 }

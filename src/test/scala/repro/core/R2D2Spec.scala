@@ -108,4 +108,21 @@ class R2D2Spec extends SparkSpec {
       assert(onDisk.containmentGraph.edges.contains(Edge("p", "c")))
     }
   }
+
+  test("maps nested in an array, in a map value or in a struct inside an array keep p → p.where(..)") {
+    val v = col("id").cast("int")
+    // Each shape as (parent column, child column): the child's maps hold the same entries in the other order.
+    val shapes = Seq(
+      "array<map>" -> (array(map(lit("k"), v, lit("j"), v * 3)), array(map(lit("j"), v * 3, lit("k"), v))),
+      "map<map>" -> (map(lit("o"), map(lit("k"), v, lit("j"), lit(1))), map(lit("o"), map(lit("j"), lit(1), lit("k"), v))),
+      "array<struct<map>>" -> (array(struct(map(lit("k"), v, lit("j"), lit(2)).as("m"))),
+        array(struct(map(lit("j"), lit(2), lit("k"), v).as("m")))),
+    )
+    for ((shape, (pm, cm)) <- shapes) {
+      val p = spark.range(20).select(col("id"), pm.as("x")).cache()
+      val c = spark.range(20).select(col("id"), cm.as("x")).where(col("id") % 3 === 0).cache()
+      val r = R2D2.run(Seq("p" -> p, "c" -> c))
+      assert(r.containmentGraph.edges.contains(Edge("p", "c")), shape)
+    }
+  }
 }

@@ -1,6 +1,5 @@
 package repro.stats
 
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.functions._
 
 import repro.{Oracle, SparkSpec, SynthData}
@@ -138,28 +137,9 @@ class StatsCatalogSpec extends SparkSpec {
   }
 
   test("ingest of a plain parquet read runs no Spark job") {
-    val sc = spark.sparkContext
     val df = spark.read.parquet(parquetDir(li, parts = 4))
-    val jobs = new java.util.concurrent.ConcurrentLinkedQueue[String]
-    val listener = new SparkListener {
-      override def onJobStart(e: SparkListenerJobStart): Unit =
-        jobs.add(String.valueOf(Option(e.properties).map(_.getProperty("spark.job.description")).orNull))
-    }
-    sc.addSparkListener(listener)
-    try {
-      sc.setJobDescription("stats-ingest")
-      val s = new StatsCatalog().ingest("li", df)
-      // Listener events arrive in order: once the sentinel job is seen, so is every ingest job.
-      sc.setJobDescription("stats-sentinel")
-      spark.range(1).collect()
-      val deadline = System.nanoTime() + 30000000000L
-      while (!jobs.contains("stats-sentinel") && System.nanoTime() < deadline) Thread.sleep(20)
-      assert(jobs.contains("stats-sentinel"))
-      assert(!jobs.contains("stats-ingest"))
-      assert(s.rowCount == li.count())
-    } finally {
-      sc.setJobDescription(null)
-      sc.removeSparkListener(listener)
-    }
+    val (s, jobs) = jobDescriptions(new StatsCatalog().ingest("li", df))
+    assert(jobs.isEmpty, jobs)
+    assert(s.rowCount == li.count())
   }
 }
