@@ -11,14 +11,13 @@ import repro.exp._
   */
 class Table1Bench extends BenchSpec {
 
-  lazy val outs: Map[String, PipelineOutput] =
-    Seq("customer1", "customer2", "customer3").map(n => n -> runs(n)).toMap
+  lazy val outs: Map[String, PipelineOutput] = PaperTables(1).lakes.map(n => n -> runs(n)).toMap
 
   test("print Table 1 (paper vs measured)") {
-    report(EdgeCountExperiments.table1(outs))
+    report(PaperTables(1)(runs))
   }
 
-  for (name <- Seq("customer1", "customer2", "customer3")) {
+  for (name <- PaperTables(1).lakes) {
     test(s"$name: zero undetected edges at every stage (100% recall)") {
       val out = outs(name)
       assert(out.evalSGB.notDetected == 0)

@@ -7,11 +7,10 @@ import repro.exp._
   */
 class Table2Bench extends BenchSpec {
 
-  lazy val outs: Map[String, PipelineOutput] =
-    Seq("tableUnion", "kaggle").map(n => n -> runs(n)).toMap
+  lazy val outs: Map[String, PipelineOutput] = PaperTables(2).lakes.map(n => n -> runs(n)).toMap
 
   test("print Table 2 (paper vs measured)") {
-    report(EdgeCountExperiments.table2(outs))
+    report(PaperTables(2)(runs))
   }
 
   test("tableUnion lake has ~300 tables, kaggle ~140 (paper corpus sizes)") {
@@ -19,7 +18,7 @@ class Table2Bench extends BenchSpec {
     assert(math.abs(outs("kaggle").lake.datasets.size - 140) <= 20)
   }
 
-  for (name <- Seq("tableUnion", "kaggle")) {
+  for (name <- PaperTables(2).lakes) {
     test(s"$name: zero undetected edges at every stage") {
       val out = outs(name)
       assert(out.evalSGB.notDetected == 0)

@@ -8,14 +8,11 @@ import repro.exp._
   */
 class Table3Bench extends BenchSpec {
 
-  lazy val outs: Seq[(String, PipelineOutput)] =
-    Seq("customer2", "customer1", "kaggle", "tableUnion").map(n => n -> runs(n))
-
   test("print Table 3 (paper vs measured)") {
-    report(OpCountExperiment.render(outs))
+    report(PaperTables(3)(runs))
   }
 
-  for ((name, _) <- Seq("customer2", "customer1", "kaggle", "tableUnion").map(n => n -> ())) {
+  for (name <- PaperTables(3).lakes) {
     test(s"$name: GT content cost dwarfs every pipeline stage") {
       val o = OpCountExperiment.compute(runs(name))
       // The GT/CLP gap scales with rows-per-table ÷ t (paper: ~10¹⁰× on TB

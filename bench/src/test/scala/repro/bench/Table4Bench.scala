@@ -9,13 +9,13 @@ import repro.exp._
 class Table4Bench extends BenchSpec {
 
   lazy val results: Seq[BaselineExperiment.Result] =
-    Seq("customer1", "customer2").map(n => BaselineExperiment.run(n, runs(n)))
+    PaperTables(4).lakes.map(n => BaselineExperiment.run(n, runs(n)))
 
   test("print Table 4 (paper vs measured)") {
     report(BaselineExperiment.render(results))
   }
 
-  for (r <- Seq("customer1", "customer2")) {
+  for (r <- PaperTables(4).lakes) {
     lazy val res = results.find(_.name == r).get
 
     test(s"$r: SGB detects every ground-truth schema edge") {

@@ -9,14 +9,13 @@ import repro.exp._
   */
 class Table5Bench extends BenchSpec {
 
-  lazy val outs: Seq[(String, PipelineOutput)] =
-    Seq("customer1", "customer2", "tableUnion", "kaggle").map(n => n -> runs(n))
+  lazy val outs: Seq[(String, PipelineOutput)] = PaperTables(5).lakes.map(n => n -> runs(n))
 
   test("print Table 5 (paper vs measured)") {
-    report(TimingExperiment.render(outs))
+    report(PaperTables(5)(runs))
   }
 
-  for (name <- Seq("customer1", "customer2", "tableUnion", "kaggle")) {
+  for (name <- PaperTables(5).lakes) {
     test(s"$name: SGB is sub-second (paper: 0.01–0.8 s)") {
       assert(runs(name).timings.sgbMs < 1000, s"sgb=${runs(name).timings.sgbMs} ms")
     }

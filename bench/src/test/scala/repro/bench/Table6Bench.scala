@@ -9,7 +9,7 @@ import repro.exp._
   */
 class Table6Bench extends BenchSpec {
 
-  lazy val sweep: SweepExperiment.Result = SweepExperiment.run(runs("customer2"))
+  lazy val sweep: SweepExperiment.Result = SweepExperiment.run(runs(PaperTables(6).lakes.head))
 
   test("print Table 6 (paper vs measured)") {
     report(SweepExperiment.render(sweep))

@@ -11,13 +11,13 @@ import repro.exp._
 class Table7Bench extends BenchSpec {
 
   lazy val results: Seq[OptimizationExperiment.Result] =
-    Seq("customer1", "customer2").map(n => OptimizationExperiment.run(n, runs(n)))
+    PaperTables(7).lakes.map(n => OptimizationExperiment.run(n, runs(n)))
 
   test("print Table 7 (paper vs measured)") {
     report(OptimizationExperiment.render(results))
   }
 
-  for (name <- Seq("customer1", "customer2")) {
+  for (name <- PaperTables(7).lakes) {
     lazy val r = results.find(_.name == name).get
 
     test(s"$name: some contained datasets are deleted, none unsafely") {

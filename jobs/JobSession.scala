@@ -2,7 +2,9 @@ package repro.jobs
 
 import org.apache.spark.sql.SparkSession
 
-/** Shared SparkSession setup for the spark-submit entrypoints in jobs/. */
+import repro.exp.PaperTables
+
+/** SparkSession setup and argument parsing for the [[Tables]] entry point. */
 object JobSession {
   def create(app: String): SparkSession =
     SparkSession.builder
@@ -13,7 +15,19 @@ object JobSession {
       .config("spark.ui.enabled", false)
       .getOrCreate()
 
-  /** Optional `--scale X` arg shared by all jobs (default 1.0). */
+  /** Optional `--scale X` arg (default 1.0). */
   def scale(args: Array[String]): Double =
     args.sliding(2).collectFirst { case Array("--scale", v) => v.toDouble }.getOrElse(1.0)
+
+  /** The table numbers among `args` besides `--scale X`, in order, once
+    * each; none means every table. Anything else is rejected.
+    */
+  def tables(args: Array[String]): Seq[Int] = {
+    val flag = args.indexOf("--scale")
+    val numbers = args.indices.filter(i => flag < 0 || i < flag || i > flag + 1).map(args(_)).map { a =>
+      a.toIntOption.filter(PaperTables.numbers.contains).getOrElse(throw new IllegalArgumentException(
+        s"'$a' is neither a table number (${PaperTables.numbers.mkString(" ")}) nor --scale X"))
+    }
+    if (numbers.isEmpty) PaperTables.numbers else numbers.distinct
+  }
 }

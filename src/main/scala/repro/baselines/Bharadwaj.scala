@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{ContainmentGraph, Edge, SchemaSet}
+import repro.core.{ContainmentGraph, SchemaSet}
 
 import scala.util.Random
 
@@ -31,16 +31,16 @@ object Bharadwaj {
     Array(jaccard, idf, ratio)
   }
 
-  final case class Result(correctlyIdentified: Int, notDetected: Int, weights: Array[Double])
+  final case class Result(correctlyIdentified: Int, notDetected: Int)
 
   /** Train on GT edges (positives) + random non-edges (negatives), then
-    * evaluate how many GT schema edges the classifier recovers.
+    * evaluate how many GT schema edges the classifier recovers (predicts
+    * with probability ≥ 0.5).
     */
   def run(
       datasets: Seq[(String, SchemaSet)],
       gtSchema: ContainmentGraph,
       seed: Long = 11,
-      threshold: Double = 0.5,
   ): Result = {
     val byName = datasets.toMap
     val names = datasets.map(_._1)
@@ -77,27 +77,8 @@ object Bharadwaj {
     val w = LogisticRegression.train(xs, ys)
 
     val predicted = positives.count { e =>
-      LogisticRegression.predict(w, features(byName(e.child), byName(e.parent), docFreq, n)) >= threshold
+      LogisticRegression.predict(w, features(byName(e.child), byName(e.parent), docFreq, n)) >= 0.5
     }
-    Result(predicted, positives.size - predicted, w)
-  }
-
-  /** The graph of predicted-positive pairs over all ordered pairs — used when
-    * a full baseline graph (not just recall) is wanted.
-    */
-  def predictGraph(
-      datasets: Seq[(String, SchemaSet)],
-      weights: Array[Double],
-      threshold: Double = 0.5,
-  ): ContainmentGraph = {
-    val docFreq = datasets.flatMap(_._2.tokens).groupBy(identity).map { case (t, xs) => t -> xs.size }
-    val n = datasets.size
-    val edges = for {
-      (na, sa) <- datasets
-      (nb, sb) <- datasets
-      if na != nb && sa.size >= sb.size
-      if LogisticRegression.predict(weights, features(sb, sa, docFreq, n)) >= threshold
-    } yield Edge(na, nb)
-    ContainmentGraph(datasets.map(_._1), edges)
+    Result(predicted, positives.size - predicted)
   }
 }

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.{Column, DataFrame, Row}
+import org.apache.spark.sql.catalyst.expressions.Cast
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.{ArrayType, DataType, MapType, StringType, StructType}
 
@@ -69,7 +70,8 @@ final case class CLPResult(
   *     decimals of different scale, date vs timestamp, non-binary
   *     collations, where `<=>` coerces but the hashes differ) is pruned only
   *     if a null-safe left-anti join of its missing rows against the parent
-  *     returns a row.
+  *     returns a row; there a child column whose type differs from the
+  *     parent's is try-cast to it.
   *
   * Every Spark job is described as `clp: sample`, `clp: scan` or
   * `clp: confirm`, after its phase.
@@ -236,9 +238,31 @@ object CLP {
   private[core] def refutes(parentDf: DataFrame, s: Sample, rows: Seq[Row]): Boolean = {
     val sampled = parentDf.sparkSession.createDataFrame(rows.asJava, s.schema).alias("l")
     val parentSide = parentDf.select(s.common.map(qcol): _*).alias("r")
-    val cond = s.common.map(t => col(s"l.`$t`") <=> col(s"r.`$t`")).reduce(_ && _)
+    val cond = s.common.map { t =>
+      sameValue(col(s"l.`$t`"), s.schema(t).dataType, col(s"r.`$t`"), parentSide.schema(t).dataType)
+    }.reduce(_ && _)
     // Tables here are small in absolute terms; hint the join so the
     // globally-disabled auto-broadcast does not force a full shuffle.
     sampled.join(parentSide.hint("broadcast"), cond, "left_anti").collect().nonEmpty
+  }
+
+  /** Null-safe equality of child value `c` (type `ct`) and parent value `p`
+    * (type `pt`). Where the types differ, `<=>` fails on types with no common
+    * one (boolean vs int) and on a string that does not parse, so `c` is
+    * try-cast to `pt` and a value that does not cast matches nothing; where
+    * Spark cannot cast `ct` to `pt` at all (an array to a scalar), only nulls
+    * match.
+    */
+  private def sameValue(c: Column, ct: DataType, p: Column, pt: DataType): Column =
+    if (ct == pt) c <=> p
+    else if (Cast.canTryCast(ct, nullable(pt))) c.try_cast(nullable(pt)) <=> p && c.isNull === p.isNull
+    else c.isNull && p.isNull
+
+  /** `dt` with nulls allowed at every depth, so any value of its shape casts to it. */
+  private def nullable(dt: DataType): DataType = dt match {
+    case a: ArrayType  => ArrayType(nullable(a.elementType), containsNull = true)
+    case m: MapType    => MapType(nullable(m.keyType), nullable(m.valueType), valueContainsNull = true)
+    case s: StructType => StructType(s.fields.map(f => f.copy(dataType = nullable(f.dataType), nullable = true)))
+    case other         => other
   }
 }

@@ -23,15 +23,16 @@ final case class TableData(name: String, columns: Seq[String], rows: Array[Array
 object TableData {
   /** Canonical cell formatting: values equal under `<=>` render identically,
     * at any depth. Byte arrays render by content, in hex (their `toString` is
-    * an identity hash); `-0.0` renders as `0.0`; arrays and structs render
-    * element by element, each element prefixed by its length so that no two
-    * different values share a rendering.
+    * an identity hash); `-0.0` renders as `0.0`; a float renders as the
+    * double it widens to, as `<=>` compares it with a double; arrays and
+    * structs render element by element, each element prefixed by its length
+    * so that no two different values share a rendering.
     */
   def cell(v: Any): String = v match {
     case null                        => "∅"
     case b: Array[Byte]              => java.util.HexFormat.of().formatHex(b)
     case d: Double if d == 0.0       => "0.0"
-    case f: Float if f == 0.0f       => "0.0"
+    case f: Float                    => cell(f.toDouble)
     case xs: scala.collection.Seq[_] => elements(xs, "[", "]")
     case r: Row                      => elements(r.toSeq, "{", "}")
     case _                           => v.toString

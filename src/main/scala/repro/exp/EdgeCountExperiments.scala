@@ -6,35 +6,21 @@ package repro.exp
   */
 object EdgeCountExperiments {
 
-  final case class DatasetReport(name: String, sgb: StageEval, mmp: StageEval, clp: StageEval)
-
-  def report(name: String, out: PipelineOutput): DatasetReport =
-    DatasetReport(name, out.evalSGB, out.evalMMP, out.evalCLP)
-
-  /** Paper-vs-measured rows in the layout of Tables 1/2. */
-  def render(reports: Seq[DatasetReport], paper: Map[String, PaperNumbers.EdgeCounts]): String = {
-    val rows = reports.flatMap { r =>
-      val p = paper.get(r.name)
+  /** The section `title`: paper-vs-measured rows in the layout of Tables 1/2. */
+  def render(title: String, paper: Map[String, PaperNumbers.EdgeCounts])(outs: Seq[(String, PipelineOutput)]): String = {
+    val rows = outs.flatMap { case (name, out) =>
+      val (sgb, mmp, clp) = (out.evalSGB, out.evalMMP, out.evalCLP)
+      val p = paper.get(name)
       def pp(f: PaperNumbers.EdgeCounts => Int): String = p.map(f(_).toString).getOrElse("-")
       Seq(
-        Seq(r.name, "Correct (paper)", pp(_.correct), pp(_.correct), pp(_.correct)),
-        Seq(r.name, "Correct (ours)", r.sgb.correct, r.mmp.correct, r.clp.correct),
-        Seq(r.name, "Incorrect<1 (paper)", pp(_.sgbIncorrect), pp(_.mmpIncorrect), pp(_.clpIncorrect)),
-        Seq(r.name, "Incorrect<1 (ours)", r.sgb.incorrect, r.mmp.incorrect, r.clp.incorrect),
-        Seq(r.name, "Not detected (paper)", 0, 0, 0),
-        Seq(r.name, "Not detected (ours)", r.sgb.notDetected, r.mmp.notDetected, r.clp.notDetected),
+        Seq(name, "Correct (paper)", pp(_.correct), pp(_.correct), pp(_.correct)),
+        Seq(name, "Correct (ours)", sgb.correct, mmp.correct, clp.correct),
+        Seq(name, "Incorrect<1 (paper)", pp(_.sgbIncorrect), pp(_.mmpIncorrect), pp(_.clpIncorrect)),
+        Seq(name, "Incorrect<1 (ours)", sgb.incorrect, mmp.incorrect, clp.incorrect),
+        Seq(name, "Not detected (paper)", 0, 0, 0),
+        Seq(name, "Not detected (ours)", sgb.notDetected, mmp.notDetected, clp.notDetected),
       )
     }
-    TextTable.format(Seq("Data", "Edges", "after SGB", "after MMP", "after CLP"), rows)
-  }
-
-  def table1(outs: Map[String, PipelineOutput]): String = {
-    val reports = Seq("customer1", "customer2", "customer3").flatMap(n => outs.get(n).map(report(n, _)))
-    TextTable.section("Table 1 — enterprise edge counts per stage", render(reports, PaperNumbers.table1))
-  }
-
-  def table2(outs: Map[String, PipelineOutput]): String = {
-    val reports = Seq("tableUnion", "kaggle").flatMap(n => outs.get(n).map(report(n, _)))
-    TextTable.section("Table 2 — synthetic edge counts per stage", render(reports, PaperNumbers.table2))
+    TextTable.section(title, TextTable.format(Seq("Data", "Edges", "after SGB", "after MMP", "after CLP"), rows))
   }
 }

@@ -10,6 +10,4 @@ final class RunCache(spark: SparkSession, scale: Double = 1.0) {
 
   def apply(profile: String): PipelineOutput =
     cache.getOrElseUpdate(profile, PipelineRunner.run(spark, Profiles.byName(profile, scale)))
-
-  def cached: Map[String, PipelineOutput] = cache.toMap
 }

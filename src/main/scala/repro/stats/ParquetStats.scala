@@ -2,7 +2,6 @@ package repro.stats
 
 import java.net.URI
 
-import org.apache.hadoop.conf.Configuration
 import org.apache.hadoop.fs.Path
 import org.apache.parquet.column.statistics.Statistics
 import org.apache.parquet.hadoop.ParquetFileReader
@@ -12,7 +11,7 @@ import org.apache.parquet.io.api.Binary
 import org.apache.parquet.schema.LogicalTypeAnnotation._
 import org.apache.parquet.schema.PrimitiveType
 import org.apache.parquet.schema.PrimitiveType.PrimitiveTypeName._
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.catalyst.expressions.{Alias, AttributeReference, Expression, GetStructField}
 import org.apache.spark.sql.catalyst.plans.logical.{LogicalPlan, Project}
 import org.apache.spark.sql.catalyst.util.DateTimeUtils
@@ -55,21 +54,9 @@ object ParquetStats {
   def of(df: DataFrame): Option[DatasetStats] = {
     val flat = StatsCatalog.flatten(df)
     scan(flat.queryExecution.analyzed).map { case (rel, leaves) =>
-      val (rows, cols) = footers(rel, leaves, rel.sparkSession.sessionState.newHadoopConfWithOptions(rel.options))
+      val (rows, cols) = footers(rel, leaves)
       DatasetStats(rows, rows * flat.schema.defaultSize, cols)
     }
-  }
-
-  /** Footer stats of the parquet dataset directory `dir`; `sizeBytes` is the
-    * bytes of its files on disk.
-    */
-  def read(dir: String, conf: Configuration = SparkSession.active.sessionState.newHadoopConf()): DatasetStats = {
-    val root = new Path(dir)
-    require(root.getFileSystem(conf).listStatus(root).exists(f => f.isFile && f.getPath.getName.endsWith(".parquet")),
-      s"no parquet part files under $dir")
-    val (rel, leaves) = scan(StatsCatalog.flatten(SparkSession.active.read.parquet(dir)).queryExecution.analyzed).get
-    val (rows, cols) = footers(rel, leaves, conf)
-    DatasetStats(rows, rel.sizeInBytes, cols)
   }
 
   /** The relation and the stats-bearing leaves of a flattened frame's plan,
@@ -113,7 +100,8 @@ object ParquetStats {
     * `rel`'s files. Chunks merge in parquet's own order on their stored
     * values, which are decoded once at the end.
     */
-  private def footers(rel: HadoopFsRelation, leaves: Seq[Leaf], conf: Configuration): (Long, Map[String, ColStats]) = {
+  private def footers(rel: HadoopFsRelation, leaves: Seq[Leaf]): (Long, Map[String, ColStats]) = {
+    val conf = rel.sparkSession.sessionState.newHadoopConfWithOptions(rel.options)
     val rebaseMode = new ParquetOptions(rel.options, rel.sparkSession.sessionState.conf).datetimeRebaseModeInRead
     var rows = 0L
     val merged = scala.collection.mutable.Map.empty[Leaf, (PrimitiveType, Statistics[_])]

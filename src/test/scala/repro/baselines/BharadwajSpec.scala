@@ -53,12 +53,4 @@ class BharadwajSpec extends AnyFunSuite {
     val b = Bharadwaj.run(datasets, gt, seed = 3)
     assert(a.correctlyIdentified == b.correctlyIdentified && a.notDetected == b.notDetected)
   }
-
-  test("predictGraph only proposes larger-or-equal-schema parents") {
-    val (gt, _) = GroundTruth.schemaGraph(datasets)
-    val res = Bharadwaj.run(datasets, gt)
-    val g = Bharadwaj.predictGraph(datasets, res.weights)
-    val byName = datasets.toMap
-    g.edges.foreach(e => assert(byName(e.parent).size >= byName(e.child).size))
-  }
 }

@@ -230,6 +230,38 @@ class CLPSpec extends SparkSpec {
     assert(!check(parent, child, CLPConfig(s = 2, t = 10)))
   }
 
+  // Columns that SGB matches by name but whose types Spark's `<=>` cannot
+  // compare: no common type, or a string that does not parse as an int.
+  // The child value is try-cast to the parent's type; an uncastable type
+  // matches only null against null.
+  test("a boolean child column under an int parent column is judged without an exception") {
+    val parent = spark.range(4).select(col("id"), (col("id") + 5).cast("int").as("x")).cache()
+    val child = spark.range(2).select(col("id"), (col("id") === 0).as("x"))
+    assert(check(parent, child, CLPConfig(s = 2, t = 10)))
+    val ones = spark.range(2).select(col("id"), lit(1).as("x")).cache()
+    assert(!check(ones, spark.range(2).select(col("id"), lit(true).as("x")), CLPConfig(s = 2, t = 10)))
+  }
+
+  test("an array<int> child column under an int parent column matches only null against null") {
+    val parent = spark.range(4).select(col("id"), when(col("id") =!= 1, col("id").cast("int")).as("x")).cache()
+    val arrays = spark.range(2).select(col("id"), array(col("id").cast("int")).as("x"))
+    assert(check(parent, arrays, CLPConfig(s = 2, t = 10)))
+    val nulls = spark.range(1, 2).select(col("id"), lit(null).cast("array<int>").as("x"))
+    assert(!check(parent, nulls, CLPConfig(s = 2, t = 10)))
+  }
+
+  test("an int child column under a string parent column holding 'abc' is judged without an exception") {
+    val parent = spark.range(3).select(col("id"), when(col("id") === 0, lit("abc")).otherwise(col("id").cast("string")).as("x")).cache()
+    assert(check(parent, spark.range(1).select(col("id"), col("id").cast("int").as("x")), CLPConfig(s = 2, t = 10)))
+    assert(!check(parent, spark.range(1, 3).select(col("id"), col("id").cast("int").as("x")), CLPConfig(s = 2, t = 10)))
+  }
+
+  test("a string \"1\" child under an int 1 parent is kept") {
+    val parent = spark.range(3).select(col("id"), col("id").cast("int").as("x")).cache()
+    val child = spark.range(1, 2).select(col("id"), col("id").cast("string").as("x"))
+    assert(!check(parent, child, CLPConfig(s = 2, t = 10)))
+  }
+
   // The property's type matrix: each type with a small pool of values, so
   // child rows often meet parent rows. The pools hold values that are equal
   // under `<=>` but differ in their bits (-0.0 and 0.0, two NaN patterns,

@@ -106,6 +106,20 @@ class GroundTruthSpec extends SparkSpec {
     assert(GroundTruth.containmentFraction(TableData.fromDf("c", child), TableData.fromDf("p", parent)) == 1.0)
   }
 
+  test("a float is the double it widens to: a float cast of a double column is contained only where exact") {
+    val parent = spark.createDataFrame(Seq((1, 0.1), (2, 0.7), (3, 0.5), (4, -0.0))).toDF("id", "x")
+    val child = parent.select(col("id"), col("x").cast("float").as("x"))
+    // 0.1f and 0.7f widen to 0.10000000149… and 0.699999988…, which the
+    // parent lacks; 0.5f and -0.0f widen to the parent's values. MMP keeps
+    // the edge (the widened range fits), CLP's join compares widened values
+    // and prunes it, and the ground truth must agree.
+    assert(GroundTruth.containmentFraction(TableData.fromDf("c", child), TableData.fromDf("p", parent)) == 0.5)
+    assert(!R2D2.run(Seq("p" -> parent, "c" -> child)).containmentGraph.edges.contains(Edge("p", "c")))
+    val exact = child.where(col("id") >= 3)
+    assert(GroundTruth.containmentFraction(TableData.fromDf("c", exact), TableData.fromDf("p", parent)) == 1.0)
+    assert(TableData.cell(0.1f) == TableData.cell(0.1f.toDouble) && TableData.cell(-0.0f) == "0.0")
+  }
+
   test("nested cells render injectively: arrays whose elements join to the same text differ") {
     assert(TableData.cell(Seq("a,b")) != TableData.cell(Seq("a", "b")))
     assert(TableData.cell(Seq(Seq("a"), Seq())) != TableData.cell(Seq(Seq(), Seq("a"))))

@@ -54,8 +54,9 @@ class R2D2Spec extends SparkSpec {
   }
 
   /** The type matrix: nested structs, arrays, a map `m`, binary, decimals,
-    * sub-millisecond timestamps, NaN, -0.0, strings outside the BMP (where
-    * UTF-16 and UTF-8 orders disagree) and null columns.
+    * sub-millisecond timestamps with and without a time zone, NaN, -0.0,
+    * strings outside the BMP (where UTF-16 and UTF-8 orders disagree) and
+    * null columns.
     */
   private def typed(m: org.apache.spark.sql.Column) = spark.range(60).select(
     col("id"),
@@ -67,6 +68,7 @@ class R2D2Spec extends SparkSpec {
     (col("id") / 7).cast("decimal(12,4)").as("dec"),
     ((col("id") - 30) * 1.37).cast("decimal(10,2)").as("dec2"),
     timestamp_micros(lit(1577836800000000L) + col("id") * 1250 - 30000).as("ts"),
+    timestamp_micros(lit(1577836800000000L) + col("id") * 1250 - 30000).cast("timestamp_ntz").as("ntz"),
     when(col("id") % 7 === 3, lit(Double.NaN)).otherwise(col("id") / 4).as("nan"),
     when(col("id") % 5 === 0, lit(-0.0)).otherwise(col("id").cast("double")).as("negz"),
     when(col("id") % 3 === 0, concat(lit("\uD83D\uDE00"), col("id").cast("string")))
@@ -82,7 +84,7 @@ class R2D2Spec extends SparkSpec {
   test("type matrix: nested, array, map, binary, decimal and null columns keep a true edge") {
     val (p, c) = (matrixParent, matrixChild)
     val r = R2D2.run(Seq("p" -> p, "c" -> c))
-    assert(r.schemas("p").tokens.contains("s.inner.z") && r.schemas("p").tokens.contains("m"))
+    assert(Seq("s.inner.z", "m", "ntz").forall(r.schemas("p").tokens.contains))
     assert(r.containmentGraph.edges.contains(Edge("p", "c")))
 
     val st = R2D2State.fromRun(Map("p" -> p, "c" -> c), r)

@@ -75,8 +75,7 @@ class PipelineSpec extends SparkSpec {
   }
 
   test("edge-count renderers produce paper-vs-ours rows") {
-    val rep = EdgeCountExperiments.report("tiny", out)
-    val txt = EdgeCountExperiments.render(Seq(rep), Map.empty)
+    val txt = EdgeCountExperiments.render("Table 1", Map.empty)(Seq("tiny" -> out))
     assert(txt.contains("tiny") && txt.contains("after CLP"))
   }
 

@@ -4,55 +4,58 @@ import org.scalatest.funsuite.AnyFunSuite
 
 import scala.util.Random
 
+/** OPT-RET on the paper's DYN-LIN case (§5.3, Theorem 5.1): a directed line
+  * graph n0 → n1 → … where every deleted node needs its one parent retained.
+  * [[OptRet.solve]]'s exact branch-and-bound solves every such component of
+  * up to 24 nodes, so these cases check it on lines, against exhaustive
+  * enumeration.
+  */
 class DynLinSpec extends AnyFunSuite {
 
-  private val cm = CostModel.azureHotLike
+  /** Unit prices: a node's retention cost is its size, deleting it costs its edge's C_e. */
+  private val unit = CostModel(1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
-  /** Brute force over all retain/delete patterns of a line graph. */
-  private def bruteLine(ret: IndexedSeq[Double], del: IndexedSeq[Double]): Double = {
-    val n = ret.size
-    var best = Double.PositiveInfinity
-    for (mask <- 0 until (1 << n)) {
-      val retained = (0 until n).map(i => (mask & (1 << i)) != 0)
-      val feasible = (0 until n).forall(i => retained(i) || (i > 0 && retained(i - 1)))
-      if (feasible) {
-        val cost = (0 until n).map(i => if (retained(i)) ret(i) else del(i)).sum
-        best = math.min(best, cost)
-      }
-    }
-    best
-  }
+  /** The line n0 → … → n(k−1) with retention costs `ret` and deletion costs
+    * `del`; `del(0)` is unused, since the root has no parent.
+    */
+  private def line(ret: Seq[Double], del: Seq[Double]): OptProblem = OptProblem(
+    ret.indices.map(i => OptNode(s"n$i", ret(i), accessesPerMonth = 1.0, maintPerMonth = 0.0)),
+    (1 until ret.size).map(i => OptEdge(s"n${i - 1}", s"n$i", del(i))),
+    unit,
+  )
+
+  private def kept(sol: OptSolution): Set[Int] = sol.retained.map(_.drop(1).toInt)
 
   test("single node: root retained at its retention cost") {
-    val (cost, kept) = DynLin.solve(IndexedSeq(5.0), IndexedSeq(Double.PositiveInfinity))
-    assert(cost == 5.0 && kept == Set(0))
+    val sol = OptRet.solve(line(Seq(5.0), Seq(Double.PositiveInfinity)))
+    assert(sol.cost == 5.0 && kept(sol) == Set(0))
   }
 
   test("two nodes: greedy choice between retaining and deleting node 1") {
-    val (c1, k1) = DynLin.solve(IndexedSeq(5.0, 10.0), IndexedSeq(0.0, 3.0))
-    assert(c1 == 8.0 && k1 == Set(0))
-    val (c2, k2) = DynLin.solve(IndexedSeq(5.0, 2.0), IndexedSeq(0.0, 3.0))
-    assert(c2 == 7.0 && k2 == Set(0, 1))
+    val s1 = OptRet.solve(line(Seq(5.0, 10.0), Seq(0.0, 3.0)))
+    assert(s1.cost == 8.0 && kept(s1) == Set(0))
+    val s2 = OptRet.solve(line(Seq(5.0, 2.0), Seq(0.0, 3.0)))
+    assert(s2.cost == 7.0 && kept(s2) == Set(0, 1))
   }
 
   test("alternating pattern emerges when deletion is cheap") {
     // Deleting is free; retaining costs 1 — but every deleted node needs its
     // predecessor retained, so at least every other node is retained.
     val n = 6
-    val (cost, kept) = DynLin.solve(IndexedSeq.fill(n)(1.0), IndexedSeq.fill(n)(0.0))
-    assert(cost == 3.0)
-    (1 until n).foreach(i => assert(kept(i) || kept(i - 1), s"node $i unsafe"))
+    val sol = OptRet.solve(line(Seq.fill(n)(1.0), Seq.fill(n)(0.0)))
+    assert(sol.cost == 3.0)
+    (1 until n).foreach(i => assert(kept(sol)(i) || kept(sol)(i - 1), s"node $i unsafe"))
   }
 
   test("retained set is always feasible (every deleted node's parent kept)") {
     val rng = new Random(3)
     for (_ <- 0 until 50) {
       val n = 1 + rng.nextInt(10)
-      val ret = IndexedSeq.fill(n)(rng.nextDouble() * 10)
-      val del = Double.PositiveInfinity +: IndexedSeq.fill(n - 1)(rng.nextDouble() * 10)
-      val (_, kept) = DynLin.solve(ret, del.toIndexedSeq)
-      assert(kept(0) || n == 1 && kept(0), "root must be retained")
-      (1 until n).foreach(i => assert(kept(i) || kept(i - 1)))
+      val ret = Seq.fill(n)(rng.nextDouble() * 10)
+      val del = Double.PositiveInfinity +: Seq.fill(n - 1)(rng.nextDouble() * 10)
+      val k = kept(OptRet.solve(line(ret, del)))
+      assert(k(0), "root must be retained")
+      (1 until n).foreach(i => assert(k(i) || k(i - 1)))
     }
   }
 
@@ -60,39 +63,14 @@ class DynLinSpec extends AnyFunSuite {
     test(s"DYN-LIN equals brute force on random line graphs (trial $trial)") {
       val rng = new Random(4200 + trial)
       val n = 1 + rng.nextInt(12)
-      val ret = IndexedSeq.fill(n)(rng.nextDouble() * 10)
-      val del = (Double.PositiveInfinity +: Seq.fill(n - 1)(rng.nextDouble() * 10)).toIndexedSeq
-      val (cost, kept) = DynLin.solve(ret, del)
-      assert(math.abs(cost - bruteLine(ret, del)) < 1e-9)
+      val ret = Seq.fill(n)(rng.nextDouble() * 10)
+      val del = Double.PositiveInfinity +: Seq.fill(n - 1)(rng.nextDouble() * 10)
+      val p = line(ret, del)
+      val sol = OptRet.solve(p)
+      assert(math.abs(sol.cost - OptRet.bruteForce(p).cost) < 1e-9)
       // Reported cost matches the reported retained set.
-      val recomputed = (0 until n).map(i => if (kept(i)) ret(i) else del(i)).sum
-      assert(math.abs(cost - recomputed) < 1e-9)
+      val recomputed = (0 until n).map(i => if (kept(sol)(i)) ret(i) else del(i)).sum
+      assert(math.abs(sol.cost - recomputed) < 1e-9)
     }
-  }
-
-  test("solveProblem agrees with OptRet's exact solver on a line OptProblem") {
-    val rng = new Random(77)
-    val nodes = (0 until 8).map(i => OptNode(s"n$i", 1e8 + rng.nextDouble() * 1e9, rng.nextDouble(), rng.nextDouble() * 5))
-    val edges = (1 until 8).map(i => OptEdge(s"n${i - 1}", s"n$i", rng.nextDouble() * 50))
-    val p = OptProblem(nodes, edges, cm)
-    val dl = DynLin.solveProblem(p)
-    val bb = OptRet.solve(p)
-    assert(math.abs(dl.cost - bb.cost) < math.max(1e-9, bb.cost * 1e-9))
-  }
-
-  test("lineOrder rejects non-line shapes") {
-    val n = (0 until 3).map(i => OptNode(s"n$i", 1.0, 0.0, 0.0))
-    intercept[IllegalArgumentException] {
-      DynLin.lineOrder(OptProblem(n, Seq(OptEdge("n0", "n1", 1.0), OptEdge("n0", "n2", 1.0)), cm))
-    }
-    intercept[IllegalArgumentException] {
-      DynLin.lineOrder(OptProblem(n, Seq(OptEdge("n0", "n2", 1.0), OptEdge("n1", "n2", 1.0)), cm))
-    }
-  }
-
-  test("lineOrder returns root-to-leaf order") {
-    val n = (0 until 4).map(i => OptNode(s"n$i", 1.0, 0.0, 0.0))
-    val e = (1 until 4).map(i => OptEdge(s"n${i - 1}", s"n$i", 1.0))
-    assert(DynLin.lineOrder(OptProblem(n, e, cm)).map(_.name) == Seq("n0", "n1", "n2", "n3"))
   }
 }

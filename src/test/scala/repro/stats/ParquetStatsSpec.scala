@@ -1,7 +1,5 @@
 package repro.stats
 
-import java.nio.file.Files
-
 import org.apache.spark.sql.functions._
 
 import repro.{SparkSpec, SynthData}
@@ -14,9 +12,13 @@ class ParquetStatsSpec extends SparkSpec {
 
   lazy val li = SynthData.lineitem(spark, sf = 0.001, seed = 9).cache()
 
+  /** Footer stats of the parquet dataset directory `dir`, read as a plain frame. */
+  private def footerStats(dir: String): DatasetStats =
+    ParquetStats.of(spark.read.parquet(dir)).getOrElse(fail(s"$dir: a plain parquet read must take the footer path"))
+
   test("footer stats equal computed stats for numeric, string and date columns") {
     val path = parquetDir(li)
-    val footer = ParquetStats.read(path)
+    val footer = footerStats(path)
     val computed = StatsCatalog.compute(li)
     assert(footer.rowCount == computed.rowCount)
     for ((colName, expected) <- computed.cols) {
@@ -27,7 +29,7 @@ class ParquetStatsSpec extends SparkSpec {
 
   test("multi-file datasets merge min/max across part files") {
     val path = parquetDir(li, parts = 4)
-    val footer = ParquetStats.read(path)
+    val footer = footerStats(path)
     val computed = StatsCatalog.compute(li)
     assert(footer.rowCount == computed.rowCount)
     assert(footer.cols("l_quantity") == computed.cols("l_quantity"))
@@ -39,20 +41,20 @@ class ParquetStatsSpec extends SparkSpec {
       col("id"),
       (col("id") % 7).cast("int").as("small"),
     )
-    val footer = ParquetStats.read(parquetDir(df))
+    val footer = footerStats(parquetDir(df))
     assert(footer.cols("id") == NumStats(1, 100))
     assert(footer.cols("small") == NumStats(0, 6))
   }
 
   test("boolean columns decode to 0/1 range") {
     val df = spark.range(10).select((col("id") % 2 === 0).as("flag"))
-    val footer = ParquetStats.read(parquetDir(df))
+    val footer = footerStats(parquetDir(df))
     assert(footer.cols("flag") == NumStats(0.0, 1.0))
   }
 
   test("float columns decode from FLOAT footers") {
     val df = spark.range(1, 11).select((col("id").cast("float") / 2.0f).as("f"))
-    val footer = ParquetStats.read(parquetDir(df))
+    val footer = footerStats(parquetDir(df))
     assert(footer.cols("f") == NumStats(0.5, 5.0))
   }
 
@@ -60,20 +62,9 @@ class ParquetStatsSpec extends SparkSpec {
     // INT96 footers carry no statistics; parquetDir writes annotated INT64 micros.
     val df = spark.sql(
       "SELECT timestamp'2020-01-01 00:00:00 UTC' AS ts UNION ALL SELECT timestamp'2021-06-15 12:00:00 UTC'")
-    val footer = ParquetStats.read(parquetDir(df))
+    val footer = footerStats(parquetDir(df))
     val computed = StatsCatalog.compute(df)
     assert(footer.cols("ts") == computed.cols("ts"))
-  }
-
-  test("sizeBytes reflects on-disk bytes") {
-    val footer = ParquetStats.read(parquetDir(li))
-    assert(footer.sizeBytes > 0)
-  }
-
-  test("reading a directory with no parquet files fails loudly") {
-    val dir = Files.createTempDirectory("pqempty").toFile
-    dir.deleteOnExit()
-    intercept[IllegalArgumentException](ParquetStats.read(dir.getAbsolutePath))
   }
 
   test("MMP works identically from footer stats and from the catalog") {
@@ -82,7 +73,7 @@ class ParquetStatsSpec extends SparkSpec {
     val child = li.where(col("l_quantity") > 25)
     val pPath = parquetDir(parent)
     val cPath = parquetDir(child)
-    val footers = Map("p" -> ParquetStats.read(pPath), "c" -> ParquetStats.read(cPath))
+    val footers = Map("p" -> footerStats(pPath), "c" -> footerStats(cPath))
     val computed = Map("p" -> StatsCatalog.compute(parent), "c" -> StatsCatalog.compute(child))
     val g = ContainmentGraph(Seq("p", "c"), Seq(Edge("p", "c"), Edge("c", "p")))
     val fromFooter = MMP.prune(g, footers(_)).graph.edges
@@ -102,7 +93,7 @@ class ParquetStatsSpec extends SparkSpec {
     val df = spark.sql(
       """SELECT CAST(v AS DECIMAL(10,2)) AS d10, CAST(v AS DECIMAL(5,2)) AS d5, CAST(v AS DECIMAL(20,2)) AS d20
         |FROM VALUES (12.34), (-5.5) AS t(v)""".stripMargin)
-    val footer = ParquetStats.read(parquetDir(df))
+    val footer = footerStats(parquetDir(df))
     agree(footer, StatsCatalog.compute(df))
     assert(footer.cols("d10") == NumStats(-5.5, 12.34))
     assert(footer.cols("d5") == NumStats(-5.5, 12.34))
@@ -113,7 +104,7 @@ class ParquetStatsSpec extends SparkSpec {
     val df = spark.sql(
       """SELECT timestamp_micros(v) AS ts FROM VALUES
         |(1577836800000500L), (1577836800123999L), (-500L) AS t(v)""".stripMargin)
-    val footer = ParquetStats.read(parquetDir(df))
+    val footer = footerStats(parquetDir(df))
     assert(footer.cols("ts") == NumStats(-1.0, 1577836800123.0))
     assert(footer.cols("ts") == StatsCatalog.compute(df).cols("ts"))
   }
@@ -123,7 +114,7 @@ class ParquetStatsSpec extends SparkSpec {
     // Parquet keeps no min/max for a chunk whose values exceed 4 KiB.
     spark.range(1).select(lit("a" + "z" * 5000).as("s"), col("id")).write.mode("append").parquet(path)
     val df = spark.read.parquet(path)
-    val footer = ParquetStats.read(path)
+    val footer = footerStats(path)
     assert(footer.rowCount == 4)
     assert(!footer.cols.contains("s"))
     assert(footer.cols("id") == NumStats(0, 2))
@@ -135,7 +126,7 @@ class ParquetStatsSpec extends SparkSpec {
     val nan = spark.range(10).select(when(col("id") === 3, lit(Double.NaN)).otherwise(col("id").cast("double")).as("x"), col("id"))
     val path = parquetDir(nan)
     spark.range(2).select(lit(null).cast("double").as("x"), lit(null).cast("long").as("id")).write.mode("append").parquet(path)
-    val footer = ParquetStats.read(path)
+    val footer = footerStats(path)
     assert(footer.rowCount == 12)
     assert(!footer.cols.contains("x"))
     assert(footer.cols("id") == NumStats(0, 9))
