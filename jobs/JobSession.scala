@@ -20,10 +20,11 @@ object JobSession {
     args.sliding(2).collectFirst { case Array("--scale", v) => v.toDouble }.getOrElse(1.0)
 
   /** The table numbers among `args` besides `--scale X`, in order, once
-    * each; none means every table. Anything else is rejected.
+    * each; none means every table. Anything else, a bare `--scale` too, is rejected.
     */
   def tables(args: Array[String]): Seq[Int] = {
     val flag = args.indexOf("--scale")
+    require(flag < 0 || flag + 1 < args.length, "--scale needs a value")
     val numbers = args.indices.filter(i => flag < 0 || i < flag || i > flag + 1).map(args(_)).map { a =>
       a.toIntOption.filter(PaperTables.numbers.contains).getOrElse(throw new IllegalArgumentException(
         s"'$a' is neither a table number (${PaperTables.numbers.mkString(" ")}) nor --scale X"))

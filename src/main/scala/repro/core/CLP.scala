@@ -71,7 +71,8 @@ final case class CLPResult(
   *     collations, where `<=>` coerces but the hashes differ) is pruned only
   *     if a null-safe left-anti join of its missing rows against the parent
   *     returns a row; there a child column whose type differs from the
-  *     parent's is try-cast to it.
+  *     parent's is try-cast to it, and a value the cast changes matches
+  *     nothing.
   *
   * Every Spark job is described as `clp: sample`, `clp: scan` or
   * `clp: confirm`, after its phase.
@@ -249,14 +250,16 @@ object CLP {
   /** Null-safe equality of child value `c` (type `ct`) and parent value `p`
     * (type `pt`). Where the types differ, `<=>` fails on types with no common
     * one (boolean vs int) and on a string that does not parse, so `c` is
-    * try-cast to `pt` and a value that does not cast matches nothing; where
-    * Spark cannot cast `ct` to `pt` at all (an array to a scalar), only nulls
-    * match.
+    * try-cast to `pt` and matches only if it casts back to itself: a value
+    * the cast rounds (double 1.5 to int 1) or fails on matches nothing. Where
+    * Spark cannot cast between the types (an array and a scalar), only nulls match.
     */
   private def sameValue(c: Column, ct: DataType, p: Column, pt: DataType): Column =
     if (ct == pt) c <=> p
-    else if (Cast.canTryCast(ct, nullable(pt))) c.try_cast(nullable(pt)) <=> p && c.isNull === p.isNull
-    else c.isNull && p.isNull
+    else if (Cast.canTryCast(ct, nullable(pt)) && Cast.canTryCast(pt, nullable(ct))) {
+      val cp = c.try_cast(nullable(pt))
+      cp <=> p && cp.try_cast(nullable(ct)) <=> c
+    } else c.isNull && p.isNull
 
   /** `dt` with nulls allowed at every depth, so any value of its shape casts to it. */
   private def nullable(dt: DataType): DataType = dt match {

@@ -262,6 +262,23 @@ class CLPSpec extends SparkSpec {
     assert(!check(parent, child, CLPConfig(s = 2, t = 10)))
   }
 
+  // A child value that try-casts to the parent's value but changes on the
+  // way (rounded, truncated) is not that value: the edge is pruned. A child
+  // value the cast keeps is kept.
+  Seq(
+    ("decimal(12,4) 1.2345", "a decimal(10,2) 1.23", "decimal(12,4)", "1.2345", "1.2300", "decimal(10,2)", "1.23"),
+    ("double 1.5", "an int 1", "double", "1.5", "1.0", "int", "1"),
+    ("double 0.1", "a float 0.1f", "double", "0.1", (0.1f).toDouble.toString, "float", "0.1"),
+    ("timestamp at 10:00", "its date", "timestamp", "2024-03-01 10:00:00", "2024-03-01 00:00:00", "date", "2024-03-01"),
+  ).foreach { case (childName, parentName, ct, changed, kept, pt, pv) =>
+    test(s"a $childName child under $parentName parent is pruned") {
+      val parent = spark.range(1).select(col("id"), lit(pv).cast(pt).as("x")).cache()
+      val child = (v: String) => spark.range(1).select(col("id"), lit(v).cast(ct).as("x"))
+      assert(check(parent, child(changed), CLPConfig(s = 2, t = 10)))
+      assert(!check(parent, child(kept), CLPConfig(s = 2, t = 10)))
+    }
+  }
+
   // The property's type matrix: each type with a small pool of values, so
   // child rows often meet parent rows. The pools hold values that are equal
   // under `<=>` but differ in their bits (-0.0 and 0.0, two NaN patterns,

@@ -28,7 +28,7 @@ class JobSessionSpec extends AnyFunSuite {
   }
 
   test("an unknown table number or argument is rejected") {
-    for (bad <- Seq("0", "8", "x", "--other"))
+    for (bad <- Seq("0", "8", "x", "--other", "--scale"))
       intercept[IllegalArgumentException](JobSession.tables(Array("1", bad)))
   }
 
