@@ -1,14 +1,19 @@
 package repro.core
 
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{Column, DataFrame, Row}
-import org.apache.spark.sql.catalyst.expressions.Cast
+import org.apache.spark.sql.catalyst.{CatalystTypeConverters, InternalRow}
+import org.apache.spark.sql.catalyst.expressions.{
+  BoundReference, Cast, Coalesce, EqualTo, Expression, If, IsNotNull, Literal, UnsafeProjection, XxHash64,
+}
 import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types.{ArrayType, DataType, MapType, StringType, StructType}
+import org.apache.spark.sql.types.{ArrayType, DataType, LongType, MapType, StringType, StructType}
 
 import scala.jdk.CollectionConverters._
+import scala.reflect.ClassTag
 
 import repro.stats.StatsCatalog.qcol
-import repro.util.Par
+import repro.util.{Jobs, Par}
 
 /** Parameters of content-level pruning (§4.3, §6.6): Alg. 3's `s` and `t`.
   *
@@ -26,7 +31,10 @@ final case class CLPConfig(
     * value in the row with the smallest salted content hash.
     */
   val pivotCandidates: Int = 64
-  /** How many children, parents or join-confirmed edges are processed concurrently. */
+  /** Reported only: the driver-side pool size ([[Par.Threads]]) CLP plans its
+    * datasets and confirms its join-checked edges on. Its sampling and scan
+    * phases are one Spark job each, whatever the number of datasets.
+    */
   val parallelism: Int = Par.Threads
 }
 
@@ -49,18 +57,23 @@ final case class CLPResult(
   * edge is pruned. True containment edges can never be pruned: every row of
   * y, sampled or not, is present in x.
   *
-  * The edges are checked in three batched phases, each spread over [[Par]]:
+  * Each dataset CLP reads is planned once per call: its frame, narrowed to
+  * the columns CLP reads, becomes a physical plan (`queryExecution.toRdd`),
+  * planned concurrently over [[Par]]. Phases (a) and (b) run Catalyst
+  * expressions (`UnsafeProjection`s built inside each task) over those plans,
+  * one Spark job per round for all datasets together:
   *
-  *  - (a) '''One sample per child.''' Edges are grouped by (child, common
-  *     columns); SGB only emits edges with child.schema ⊆ parent.schema, so
-  *     a group is one child. Probe j's pivot is its search column's value in
-  *     the non-null row with the smallest `xxhash64` salted by (seed, child,
-  *     j), and its rows are the ≤ `t` distinct rows holding that pivot with
-  *     the smallest salted hashes. Both are functions of the child's content
-  *     only, so verdicts do not depend on partitioning.
-  *  - (b) '''One hash scan per parent.''' A narrow scan hashes the parent
-  *     projected onto each incoming child's columns and keeps the hashes
-  *     found in that child's sample.
+  *  - (a) '''One sample per child''' (two jobs). Edges are grouped by
+  *     (child, common columns); SGB only emits edges with child.schema ⊆
+  *     parent.schema, so a group is one child. Probe j's pivot is its search
+  *     column's value in the non-null row with the smallest `xxhash64`
+  *     salted by (seed, child, j), and its rows are the ≤ `t` distinct rows
+  *     holding that pivot with the smallest salted hashes. Both are
+  *     functions of the child's content only, so verdicts do not depend on
+  *     partitioning.
+  *  - (b) '''One hash scan per parent''' (one job). Each parent's rows are
+  *     hashed projected onto each incoming child's columns, and the hashes
+  *     found in that child's sample are kept.
   *  - (c) '''Verdicts.''' An edge whose sampled rows were all found is
   *     kept: a hash collision can only keep an edge. An edge with a missing
   *     hash is pruned straight away when every common column is
@@ -70,12 +83,14 @@ final case class CLPResult(
   *     decimals of different scale, date vs timestamp, non-binary
   *     collations, where `<=>` coerces but the hashes differ) is pruned only
   *     if a null-safe left-anti join of its missing rows against the parent
-  *     returns a row; there a child column whose type differs from the
-  *     parent's is try-cast to it, and a value the cast changes matches
-  *     nothing.
+  *     returns a row (two jobs per edge, over [[Par]]); there a child column
+  *     whose type differs from the parent's is try-cast to it, and a value
+  *     the cast changes matches nothing.
   *
-  * Every Spark job is described as `clp: sample`, `clp: scan` or
-  * `clp: confirm`, after its phase.
+  * So a call runs three Spark jobs, plus two per join-confirmed edge, each
+  * described `clp: sample`, `clp: scan` or `clp: confirm` after its phase.
+  * Planning runs no job unless a frame's plan has an exchange, whose stages
+  * adaptive execution runs while planning; those jobs are `clp: plan`.
   *
   * Search columns are drawn from the scalar leaves only: an array (or a map,
   * flattened to sorted entries) has no literal to filter by. Such leaves
@@ -101,19 +116,23 @@ object CLP {
     val groupOf = edges.map(e => e -> (e.child, schemas(e.child).tokens.intersect(schemas(e.parent).tokens).toSeq.sorted))
       .filter(_._2._2.nonEmpty).toMap
     val probed = edges.filter(groupOf.contains)
+    if (probed.isEmpty) return CLPResult(graph, Set.empty, 0L)
+
+    // every dataset CLP reads, narrowed to the columns it reads, planned once
+    val cols = probed.flatMap(e => Seq(e.child, e.parent).map(_ -> groupOf(e)._2))
+      .groupMapReduce(_._1)(_._2)(_ ++ _).map { case (n, ts) => n -> ts.distinct.sorted }
+    val names = cols.keys.toSeq.sorted
+    val spark = dfs(names.head).sparkSession
+    val plans = names.zip(Jobs.described(spark, "clp: plan")(Par.map(names)(n => new Plan(dfs(n), cols(n))))).toMap
 
     // (a) one sample per (child, common columns)
     val groups = probed.map(groupOf).distinct
-    val samples = groups.zip(Par.map(groups) { case (c, common) =>
-      phase(dfs(c), "sample")(sample(c, dfs(c), common, cfg))
-    }).toMap
+    val samples = groups.zip(Jobs.described(spark, "clp: sample")(sample(groups, plans, cfg))).toMap
     val sampleOf = (e: Edge) => samples(groupOf(e))
 
-    // (b) one scan per parent, over every incoming edge whose child drew rows
-    val byParent = probed.filter(sampleOf(_).rows.nonEmpty).groupBy(_.parent).toSeq.sortBy(_._1)
-    val found = Par.map(byParent) { case (p, es) =>
-      es.zip(phase(dfs(p), "scan")(foundHashes(dfs(p), es.map(sampleOf))))
-    }.flatten
+    // (b) one scan of every parent, over every incoming edge whose child drew rows
+    val scanned = probed.filter(sampleOf(_).rows.nonEmpty)
+    val found = scanned.zip(Jobs.described(spark, "clp: scan")(foundHashes(scanned.map(e => plans(e.parent) -> sampleOf(e)))))
 
     // (c) a hash miss prunes a hash-exact edge; any other edge with one is
     // pruned only if the join confirms it
@@ -126,7 +145,7 @@ object CLP {
       sampleOf(e).common.forall(t => hashExact(c(t).dataType, p(t).dataType))
     }
     val confirmed = Par.map(unproven) { case (e, rows) =>
-      e -> phase(dfs(e.parent), "confirm")(refutes(dfs(e.parent), sampleOf(e), rows))
+      e -> Jobs.described(spark, "clp: confirm")(refutes(dfs(e.parent), sampleOf(e), rows))
     }.collect { case (e, true) => e }
     val pruned = proven.map(_._1).toSet ++ confirmed
 
@@ -147,89 +166,154 @@ object CLP {
     case _                              => child == parent
   }
 
-  /** Runs `body` with its Spark jobs described as `clp: <name>`, then puts
-    * back the thread's previous description. Only the description is set:
-    * job groups and other local properties stay the caller's.
+  /** A dataset's frame narrowed to `cols` and planned once: analysis,
+    * physical planning and code generation happen here, and phases (a) and
+    * (b) only run `rdd`.
     */
-  private def phase[A](df: DataFrame, name: String)(body: => A): A = {
-    val sc = df.sparkSession.sparkContext
-    val key = "spark.job.description"
-    val previous = sc.getLocalProperty(key)
-    sc.setJobDescription(s"clp: $name")
-    try body finally sc.setLocalProperty(key, previous)
+  private[core] final class Plan(df: DataFrame, cols: Seq[String]) {
+    private val flat = df.select(cols.map(qcol): _*)
+    val schema: StructType = flat.schema
+    val rdd: RDD[InternalRow] = flat.queryExecution.toRdd
+
+    /** Catalyst references to `tokens` in the rows of `rdd`. */
+    def refs(tokens: Seq[String]): Seq[BoundReference] = tokens.map { t =>
+      val i = schema.fieldIndex(t)
+      BoundReference(i, schema(i).dataType, schema(i).nullable)
+    }
   }
 
-  /** Phase (a): two Spark actions, one for every probe's pivot and one for
-    * every probe's rows, each a per-partition pass merged on the driver.
+  /** Phase (a): two Spark jobs over the union of the children's plans, one
+    * for every probe's pivot and one for every probe's rows, each a
+    * per-partition pass merged on the driver. Returns one sample per group.
     */
-  private[core] def sample(child: String, df: DataFrame, common: Seq[String], cfg: CLPConfig): Sample = {
-    val cols: Seq[Column] = common.map(qcol)
-    val schema = df.select(cols: _*).schema
-    val rng = new scala.util.Random(cfg.seed ^ child.hashCode.toLong)
-    val scalar = common.filter(c => df.schema(c).dataType match {
-      case _: ArrayType | _: MapType | _: StructType => false
-      case _                                         => true
-    })
-    val search = rng.shuffle(scalar).take(math.max(1, cfg.s))
-    val k = search.size
-    if (k == 0) return Sample(common, schema, Nil)
-    // Salting with the child's name keeps children that share rows from
-    // drawing the same rows.
-    val salted = search.indices.map(j => xxhash64(Seq(lit(cfg.seed), lit(child), lit(j)) ++ cols: _*))
-
-    val pivotCols = search.indices.flatMap(j => Seq(when(qcol(search(j)).isNotNull, salted(j)), qcol(search(j))))
-    val minima = df.select(pivotCols: _*).rdd.mapPartitions { it =>
-      val best = Array.fill[Option[(Long, Any)]](k)(None)
-      it.foreach { r =>
-        for (j <- 0 until k if !r.isNullAt(2 * j)) {
-          val h = r.getLong(2 * j)
-          if (best(j).forall(_._1 > h)) best(j) = Some(h -> r.get(2 * j + 1))
-        }
+  private[core] def sample(groups: Seq[(String, Seq[String])], plans: String => Plan, cfg: CLPConfig): Seq[Sample] = {
+    val specs = groups.map { case (child, common) => new Probes(child, common, plans(child), cfg) }
+    val searched = specs.indices.filter(specs(_).k > 0)
+    val minima = collectAll(searched.map(g => specs(g).minima(g))).groupBy(m => (m._1, m._2))
+    val pivots = searched.map { g =>
+      g -> (0 until specs(g).k).map(j => minima.get((g, j)).map(_.minBy(_._3)._4))
+    }.filter(_._2.exists(_.nonEmpty))
+    val tops = collectAll(pivots.map { case (g, ps) => specs(g).tops(g, ps, cfg.t) }).groupBy(x => (x._1, x._2))
+    val pivoted = pivots.map(_._1).toSet
+    specs.zipWithIndex.map { case (p, g) =>
+      val toRow = CatalystTypeConverters.createToScalaConverter(p.schema)
+      val probes = if (!pivoted(g)) Nil else (0 until p.k).map { j =>
+        tops.getOrElse((g, j), Array.empty).sortBy(_._3).distinctBy(_._3).take(cfg.t)
+          .map(x => x._4 -> toRow(x._5).asInstanceOf[Row]).toMap
       }
-      Iterator.single(best)
-    }.collect()
-    val pivots = (0 until k).map(j => minima.flatMap(_(j)).minByOption(_._1).map(_._2))
-    if (pivots.forall(_.isEmpty)) return Sample(common, schema, Nil)
+      Sample(p.common, p.schema, probes)
+    }
+  }
 
-    val t = cfg.t
-    val hit = search.indices.map(j => pivots(j).fold(lit(false))(p => coalesce(qcol(search(j)) === lit(p), lit(false))))
-    val tops = df.select((hit ++ salted :+ xxhash64(cols: _*)) ++ cols: _*).where(hit.reduce(_ || _))
-      .rdd.mapPartitions { it =>
-        val best = Array.fill(k)(new java.util.TreeMap[Long, (Long, Row)]())
+  /** One Spark job over the union of `rdds`, collected in partition order.
+    * Every task deserializes the job's whole RDD graph, every dataset's plan
+    * included, so the union is coalesced to twice the core count: one task
+    * per partition would repeat that work for each partition of each dataset.
+    */
+  private def collectAll[A: ClassTag](rdds: Seq[RDD[A]]): Array[A] =
+    if (rdds.isEmpty) Array.empty[A] else {
+      val sc = rdds.head.sparkContext
+      sc.union(rdds).coalesce(2 * sc.defaultParallelism).collect()
+    }
+
+  /** Alg. 3's probes of one (child, common columns) group. Probe j filters
+    * by search column j; its pivot and rows are ranked by `xxhash64` of the
+    * row's common columns salted by (seed, child, j). Salting with the
+    * child's name keeps children that share rows from drawing the same rows.
+    */
+  private final class Probes(child: String, val common: Seq[String], val plan: Plan, cfg: CLPConfig) {
+    val schema: StructType = StructType(common.map(plan.schema(_)))
+    private val search = {
+      val rng = new scala.util.Random(cfg.seed ^ child.hashCode.toLong)
+      val scalar = common.filter(t => plan.schema(t).dataType match {
+        case _: ArrayType | _: MapType | _: StructType => false
+        case _                                         => true
+      })
+      rng.shuffle(scalar).take(math.max(1, cfg.s))
+    }
+    val k: Int = search.size
+    private val refs = plan.refs(common)
+    private val searchRefs = plan.refs(search)
+    private val salted: Seq[Expression] =
+      search.indices.map(j => XxHash64(Seq(Literal(cfg.seed), Literal(child), Literal(j)) ++ refs, 42L))
+
+    /** For each probe, the partition's non-null search value with the
+      * smallest salted hash: (group, probe, hash, value).
+      */
+    def minima(g: Int): RDD[(Int, Int, Long, Any)] = {
+      val (k, refs) = (this.k, searchRefs)
+      val exprs = search.indices.map(j => If(IsNotNull(refs(j)), salted(j), Literal(null, LongType)))
+      plan.rdd.mapPartitions { it =>
+        val hash = UnsafeProjection.create(exprs)
+        val best = new Array[(Long, Any)](k)
         it.foreach { r =>
-          for (j <- 0 until k if r.getBoolean(j)) {
-            val h = r.getLong(k + j)
-            val top = best(j)
-            if (top.size < t || h < top.lastKey) {
-              top.put(h, (r.getLong(2 * k), Row.fromSeq(r.toSeq.drop(2 * k + 1))))
-              if (top.size > t) top.pollLastEntry()
+          val hr = hash(r)
+          for (j <- 0 until k if !hr.isNullAt(j)) {
+            val h = hr.getLong(j)
+            if (best(j) == null || best(j)._1 > h) best(j) = h -> InternalRow.copyValue(refs(j).eval(r))
+          }
+        }
+        (0 until k).iterator.filter(best(_) != null).map(j => (g, j, best(j)._1, best(j)._2))
+      }
+    }
+
+    /** For each probe with a pivot, the partition's ≤ `t` rows holding it
+      * with the smallest salted hashes: (group, probe, salted hash, content
+      * hash, row).
+      */
+    def tops(g: Int, pivots: Seq[Option[Any]], t: Int): RDD[(Int, Int, Long, Long, InternalRow)] = {
+      val k = this.k
+      val hits = search.indices.map(j => pivots(j).fold[Expression](Literal(false)) { p =>
+        Coalesce(Seq(EqualTo(searchRefs(j), Literal(p, searchRefs(j).dataType)), Literal(false)))
+      })
+      val refs = this.refs
+      val keys = salted :+ XxHash64(refs, 42L)
+      plan.rdd.mapPartitions { it =>
+        val (hit, key, row) = (UnsafeProjection.create(hits), UnsafeProjection.create(keys), UnsafeProjection.create(refs))
+        val best = Array.fill(k)(new java.util.TreeMap[Long, (Long, InternalRow)]())
+        it.foreach { r =>
+          val hr = hit(r)
+          if ((0 until k).exists(hr.getBoolean)) {
+            val kr = key(r)
+            lazy val copied = row(r).copy()
+            for (j <- 0 until k if hr.getBoolean(j)) {
+              val h = kr.getLong(j)
+              val top = best(j)
+              if (top.size < t || h < top.lastKey) {
+                top.put(h, (kr.getLong(k), copied))
+                if (top.size > t) top.pollLastEntry()
+              }
             }
           }
         }
-        best.iterator.zipWithIndex.flatMap { case (top, j) => top.asScala.iterator.map { case (h, row) => (j, h, row) } }
-      }.collect()
-    val probes = (0 until k).map { j =>
-      tops.filter(_._1 == j).sortBy(_._2).distinctBy(_._2).take(t).map(_._3).toMap
+        best.iterator.zipWithIndex.flatMap { case (top, j) => top.asScala.iterator.map { case (h, (c, row)) => (g, j, h, c, row) } }
+      }
     }
-    Sample(common, schema, probes)
   }
 
-  /** Phase (b): one narrow scan of the parent; for each sample, the sampled
-    * content hashes found among the parent's rows projected onto its columns.
+  /** Phase (b): one Spark job over the union of the parents' plans. For each
+    * (parent plan, sample), the sample's content hashes found among the
+    * parent's rows projected onto the sample's columns.
     */
-  private def foundHashes(parentDf: DataFrame, samples: Seq[Sample]): Seq[Set[Long]] = {
-    val n = samples.size
-    val hits = samples.map { s =>
-      val h = xxhash64(s.common.map(qcol): _*)
-      when(h.isin(s.rows.keys.toSeq: _*), h)
+  private[core] def foundHashes(scans: Seq[(Plan, Sample)]): Seq[Set[Long]] = {
+    val rdds = scans.indices.groupBy(scans(_)._1).toSeq.map { case (p, ids) =>
+      val hashes = ids.map(i => XxHash64(p.refs(scans(i)._2.common), 42L))
+      val wanted = ids.map(i => scans(i)._2.rows.keys.toSet)
+      p.rdd.mapPartitions { it =>
+        val hash = UnsafeProjection.create(hashes)
+        val seen = Array.fill(ids.size)(Set.newBuilder[Long])
+        it.foreach { r =>
+          val hr = hash(r)
+          for (i <- ids.indices) {
+            val h = hr.getLong(i)
+            if (wanted(i)(h)) seen(i) += h
+          }
+        }
+        ids.iterator.zip(seen.iterator.map(_.result()))
+      }
     }
-    val perPartition = parentDf.select(hits: _*).where(hits.map(_.isNotNull).reduce(_ || _))
-      .rdd.mapPartitions { it =>
-        val seen = Array.fill(n)(Set.newBuilder[Long])
-        it.foreach(r => for (g <- 0 until n if !r.isNullAt(g)) seen(g) += r.getLong(g))
-        Iterator.single(seen.map(_.result()))
-      }.collect()
-    (0 until n).map(g => perPartition.flatMap(_(g)).toSet)
+    val found = collectAll(rdds).groupMapReduce(_._1)(_._2)(_ ++ _)
+    scans.indices.map(found.getOrElse(_, Set.empty[Long]))
   }
 
   /** Phase (c), for an edge that is not hash-exact: does some row of `rows`

@@ -6,6 +6,7 @@ import org.apache.spark.sql.types._
 import org.apache.spark.unsafe.types.UTF8String
 
 import repro.core.SchemaSet
+import repro.util.Jobs
 
 /** Per-column min/max statistics, the information MMP consumes.
   *
@@ -102,7 +103,9 @@ object StatsCatalog {
     case other => throw new IllegalArgumentException(s"non-numeric stat value $other")
   }
 
-  /** One-pass min/max/count over every orderable scalar leaf of `df`. */
+  /** One-pass min/max/count over every orderable scalar leaf of `df`; its
+    * Spark jobs are described `stats: compute`.
+    */
   def compute(df: DataFrame): DatasetStats = {
     val flat = flatten(df)
     val aggs = flat.schema.fields.toSeq.flatMap { f =>
@@ -110,7 +113,7 @@ object StatsCatalog {
       else Seq.empty
     } :+ count(lit(1)).as("cnt::")
 
-    val row = flat.agg(aggs.head, aggs.tail: _*).collect()(0)
+    val row = Jobs.described(df.sparkSession, "stats: compute")(flat.agg(aggs.head, aggs.tail: _*).collect()(0))
     val byName = row.schema.fieldNames.zipWithIndex.toMap
     val rowCount = row.getLong(byName("cnt::"))
 

@@ -1,6 +1,8 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.{Column, DataFrame, Row}
+import org.apache.spark.sql.catalyst.{CatalystTypeConverters, InternalRow}
+import org.apache.spark.sql.catalyst.expressions.UnsafeProjection
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
 import org.scalacheck.{Gen, Prop, Test}
@@ -9,6 +11,7 @@ import org.scalacheck.util.Pretty
 import repro.{SparkSpec, SynthData}
 import repro.lake.Transformations
 import repro.stats.{NumStats, StatsCatalog}
+import repro.stats.StatsCatalog.qcol
 
 import scala.jdk.CollectionConverters._
 import scala.util.Random
@@ -317,14 +320,15 @@ class CLPSpec extends SparkSpec {
     case _                     => v
   }
 
-  /** A parent and a child of one random schema: the child holds some parent
+  /** A parent and a child of one random schema, its first column drawn from
+    * `first` and up to three more from `rest`: the child holds some parent
     * rows (their twins, half the time) and up to two rows drawn afresh.
     */
-  private val samePair: Gen[(StructType, Seq[Row], Seq[Row])] = for {
-    first <- Gen.oneOf(scalarPools)
+  private def pairOf(first: Seq[(DataType, Seq[Any])], rest: Seq[(DataType, Seq[Any])]): Gen[(StructType, Seq[Row], Seq[Row])] = for {
+    head <- Gen.oneOf(first)
     n <- Gen.choose(0, 3)
-    rest <- Gen.listOfN(n, Gen.oneOf(scalarPools ++ nestedPools))
-    cols = first +: rest
+    tail <- Gen.listOfN(n, Gen.oneOf(rest))
+    cols = head +: tail
     row = cols.foldRight(Gen.const(List.empty[Any])) { case ((_, pool), tail) =>
       for (v <- Gen.frequency(1 -> Gen.const(null), 5 -> Gen.oneOf(pool)); vs <- tail) yield v :: vs
     }.map(Row.fromSeq)
@@ -336,6 +340,11 @@ class CLPSpec extends SparkSpec {
     val schema = StructType(cols.zipWithIndex.map { case ((dt, _), i) => StructField(s"c$i", dt) })
     (schema, parent, kept.toSeq.map(r => if (twins) twin(r).asInstanceOf[Row] else r) ++ fresh)
   }
+  private val samePair = pairOf(scalarPools, scalarPools ++ nestedPools)
+
+  /** The one-group sample CLP draws from `child`. */
+  private def sampled(child: DataFrame, common: Seq[String], cfg: CLPConfig): CLP.Sample =
+    CLP.sample(Seq("c" -> common), _ => new CLP.Plan(child, common), cfg).head
 
   test("property: on same-typed columns a hash miss prunes exactly when the null-safe anti-join on the same sample does") {
     val verdicts = scala.collection.mutable.Set.empty[Boolean]
@@ -346,7 +355,7 @@ class CLPSpec extends SparkSpec {
       val common = sch(child).tokens.toSeq.sorted
       assert(common.forall(t => CLP.hashExact(child.schema(t).dataType, parent.schema(t).dataType)))
       val pruned = pruneEdge(parent, child, cfg).pruned.nonEmpty
-      val drawn = CLP.sample("c", child, common, cfg)
+      val drawn = sampled(child, common, cfg)
       val joined = CLP.refutes(parent, drawn, drawn.rows.values.toSeq)
       verdicts += pruned
       pruned == joined
@@ -357,21 +366,188 @@ class CLPSpec extends SparkSpec {
     assert(verdicts == Set(true, false))
   }
 
-  test("same-typed edges are pruned from the hash scan: 2·children + parents CLP jobs, none confirming") {
-    val lake = Map(
-      "p" -> li,
-      "filt" -> li.where(col("l_quantity") <= 25),
-      "bad" -> li.withColumn("l_quantity", col("l_quantity") + 1000),
-      "flagN" -> li.where(col("l_returnflag") === "N"),
-      "flagR" -> li.where(col("l_returnflag") === "R"),
-    )
-    val g = ContainmentGraph(lake.keys, Seq(Edge("p", "filt"), Edge("p", "bad"), Edge("flagN", "flagR")))
-    val (res, jobs) = jobDescriptions(CLP.prune(g, lake(_), n => sch(lake(n)), CLPConfig(s = 2, t = 5)))
-    assert(res.pruned == Set(Edge("p", "bad"), Edge("flagN", "flagR")))
-    // children filt, bad, flagR; parents p, flagN
-    assert(jobs.count(_ == "clp: sample") == 2 * 3)
-    assert(jobs.count(_ == "clp: scan") == 2)
-    assert(!jobs.contains("clp: confirm"))
-    assert(jobs.size == 2 * 3 + 2, jobs)
+  // The DataFrame formulation of phases (a) and (b) that CLP ran before it
+  // planned each dataset once, kept as the oracle its plans must match.
+
+  /** Phase (a) as DataFrame queries: one for every probe's pivot, one for every probe's rows. */
+  private def oracleSample(child: String, df: DataFrame, common: Seq[String], cfg: CLPConfig): CLP.Sample = {
+    val cols: Seq[Column] = common.map(qcol)
+    val schema = df.select(cols: _*).schema
+    val rng = new scala.util.Random(cfg.seed ^ child.hashCode.toLong)
+    val scalar = common.filter(c => df.schema(c).dataType match {
+      case _: ArrayType | _: MapType | _: StructType => false
+      case _                                         => true
+    })
+    val search = rng.shuffle(scalar).take(math.max(1, cfg.s))
+    val k = search.size
+    if (k == 0) return CLP.Sample(common, schema, Nil)
+    val salted = search.indices.map(j => xxhash64(Seq(lit(cfg.seed), lit(child), lit(j)) ++ cols: _*))
+
+    val pivotCols = search.indices.flatMap(j => Seq(when(qcol(search(j)).isNotNull, salted(j)), qcol(search(j))))
+    val minima = df.select(pivotCols: _*).rdd.mapPartitions { it =>
+      val best = Array.fill[Option[(Long, Any)]](k)(None)
+      it.foreach { r =>
+        for (j <- 0 until k if !r.isNullAt(2 * j)) {
+          val h = r.getLong(2 * j)
+          if (best(j).forall(_._1 > h)) best(j) = Some(h -> r.get(2 * j + 1))
+        }
+      }
+      Iterator.single(best)
+    }.collect()
+    val pivots = (0 until k).map(j => minima.flatMap(_(j)).minByOption(_._1).map(_._2))
+    if (pivots.forall(_.isEmpty)) return CLP.Sample(common, schema, Nil)
+
+    val t = cfg.t
+    val hit = search.indices.map(j => pivots(j).fold(lit(false))(p => coalesce(qcol(search(j)) === lit(p), lit(false))))
+    val tops = df.select((hit ++ salted :+ xxhash64(cols: _*)) ++ cols: _*).where(hit.reduce(_ || _))
+      .rdd.mapPartitions { it =>
+        val best = Array.fill(k)(new java.util.TreeMap[Long, (Long, Row)]())
+        it.foreach { r =>
+          for (j <- 0 until k if r.getBoolean(j)) {
+            val h = r.getLong(k + j)
+            val top = best(j)
+            if (top.size < t || h < top.lastKey) {
+              top.put(h, (r.getLong(2 * k), Row.fromSeq(r.toSeq.drop(2 * k + 1))))
+              if (top.size > t) top.pollLastEntry()
+            }
+          }
+        }
+        best.iterator.zipWithIndex.flatMap { case (top, j) => top.asScala.iterator.map { case (h, row) => (j, h, row) } }
+      }.collect()
+    val probes = (0 until k).map { j =>
+      tops.filter(_._1 == j).sortBy(_._2).distinctBy(_._2).take(t).map(_._3).toMap
+    }
+    CLP.Sample(common, schema, probes)
+  }
+
+  /** Phase (b) as one DataFrame query: for each sample, its content hashes found among the parent's rows. */
+  private def oracleFound(parentDf: DataFrame, samples: Seq[CLP.Sample]): Seq[Set[Long]] = {
+    val n = samples.size
+    val hits = samples.map { s =>
+      val h = xxhash64(s.common.map(qcol): _*)
+      when(h.isin(s.rows.keys.toSeq: _*), h)
+    }
+    val perPartition = parentDf.select(hits: _*).where(hits.map(_.isNotNull).reduce(_ || _))
+      .rdd.mapPartitions { it =>
+        val seen = Array.fill(n)(Set.newBuilder[Long])
+        it.foreach(r => for (g <- 0 until n if !r.isNullAt(g)) seen(g) += r.getLong(g))
+        Iterator.single(seen.map(_.result()))
+      }.collect()
+    (0 until n).map(g => perPartition.flatMap(_(g)).toSet)
+  }
+
+  /** A sample as data that compares bit for bit: each probe's content hashes,
+    * with each row's value bytes, so -0.0 and 0.0 differ. NaNs compare in one
+    * pattern: the oracle returned its rows as Java-serialized task results,
+    * which write every NaN canonically, and no Spark comparison tells NaN
+    * patterns apart.
+    */
+  private def bits(s: CLP.Sample): Seq[Seq[(Long, Seq[Byte])]] = {
+    def canonical(v: Any): Any = v match {
+      case d: Double if d.isNaN => Double.NaN
+      case f: Float if f.isNaN  => Float.NaN
+      case xs: Seq[_]           => xs.map(canonical)
+      case r: Row               => Row.fromSeq(r.toSeq.map(canonical))
+      case _                    => v
+    }
+    val toCatalyst = CatalystTypeConverters.createToCatalystConverter(s.schema)
+    val unsafe = UnsafeProjection.create(s.schema)
+    s.probes.map(_.toSeq.sortBy(_._1).map { case (h, r) =>
+      h -> unsafe(toCatalyst(canonical(r)).asInstanceOf[InternalRow]).getBytes.toSeq
+    })
+  }
+
+  private val lcasePool: (DataType, Seq[Any]) = StringType("UTF8_LCASE") -> Seq("a", "A", "b", "\uD83D\uDE00", "")
+
+  // Each frame shape changes what `queryExecution.toRdd` runs: one or seven
+  // partitions (a round-robin exchange), an in-memory relation, and an
+  // aggregate over a hash exchange.
+  private val shapes: Seq[(String, DataFrame => DataFrame)] = Seq(
+    "1 partition" -> (_.repartition(1)),
+    "7 partitions" -> (_.repartition(7)),
+    "cached" -> (_.cache()),
+    "an exchange" -> (_.distinct()),
+  )
+
+  test("property: planned phases draw the DataFrame oracle's probe keys and rows and find its hashes") {
+    val gen = for {
+      pair <- pairOf(scalarPools :+ lcasePool, scalarPools ++ nestedPools :+ lcasePool)
+      shape <- Gen.oneOf(shapes)
+      t <- Gen.choose(1, 4)
+      seed <- Gen.choose(0L, 1000L)
+    } yield (pair, shape, CLPConfig(s = 4, t = t, seed = seed))
+    val seen = scala.collection.mutable.Set.empty[String]
+    val prop = Prop.forAllNoShrink(gen) { case ((schema, parentRows, childRows), (shape, reshape), cfg) =>
+      val frame = (rows: Seq[Row]) => reshape(StatsCatalog.flatten(spark.createDataFrame(rows.asJava, schema)))
+      val (parent, child) = (frame(parentRows), frame(childRows))
+      val common = sch(child).tokens.toSeq.sorted
+      val (expected, actual) = (oracleSample("c", child, common, cfg), sampled(child, common, cfg))
+      seen += shape
+      val same = bits(actual) == bits(expected) &&
+        CLP.foundHashes(Seq(new CLP.Plan(parent, common) -> actual)) == oracleFound(parent, Seq(expected))
+      // Spark's cache manager serves a new frame from an earlier cached one
+      // whose rows are equal as values, two NaN patterns included; dropping
+      // each case's frames keeps every case reading its own rows.
+      Seq(parent, child).foreach(_.unpersist())
+      same
+    }
+    val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(40).withInitialSeed(11L), prop)
+    assert(res.passed, Pretty.pretty(res))
+    assert(seen == shapes.map(_._1).toSet)
+  }
+
+  test("a UTF8_LCASE pivot matches its column's rows under the collation, as the oracle's === does") {
+    val rows = Seq(Row(1, "a"), Row(2, "A"), Row(3, "b"), Row(4, "B"), Row(5, "a"))
+    val schema = StructType(Seq(StructField("n", IntegerType), StructField("s", StringType("UTF8_LCASE"))))
+    val child = spark.createDataFrame(rows.asJava, schema)
+    val drawn = (0L until 8L).map { seed =>
+      val cfg = CLPConfig(s = 2, t = 10, seed = seed)
+      val (expected, actual) = (oracleSample("c", child, Seq("n", "s"), cfg), sampled(child, Seq("n", "s"), cfg))
+      assert(bits(actual) == bits(expected), s"seed $seed")
+      actual.probes.map(_.values.map(_.getString(1)).toSet)
+    }
+    // Some probe's pivot is "a" or "b" in one case and draws the other case too.
+    assert(drawn.flatten.exists(vs => vs.size > 1 && vs.map(_.toLowerCase).size == 1), drawn)
+  }
+
+  private lazy val lake = Map(
+    "p" -> li,
+    "filt" -> li.where(col("l_quantity") <= 25),
+    "bad" -> li.withColumn("l_quantity", col("l_quantity") + 1000),
+    "flagN" -> li.where(col("l_returnflag") === "N"),
+    "flagR" -> li.where(col("l_returnflag") === "R"),
+  )
+  private val lakeEdges = Seq(Edge("p", "filt"), Edge("p", "bad"), Edge("flagN", "flagR"), Edge("p", "flagR"))
+
+  test("one sampling call over many children and one scan over many parents match the oracle group by group") {
+    val cfg = CLPConfig(s = 2, t = 5, seed = 3)
+    val groups = lakeEdges.map(_.child).distinct.map(c => c -> sch(lake(c)).tokens.toSeq.sorted)
+    val plans = lake.map { case (n, df) => n -> new CLP.Plan(df, df.columns.toSeq.sorted) }
+    val samples = groups.zip(CLP.sample(groups, plans, cfg)).toMap
+    groups.foreach { case g @ (c, common) => assert(bits(samples(g)) == bits(oracleSample(c, lake(c), common, cfg)), c) }
+    val scans = lakeEdges.map(e => (plans(e.parent), samples(groups.find(_._1 == e.child).get)))
+    val found = CLP.foundHashes(scans)
+    lakeEdges.zip(scans).zip(found).foreach { case ((e, (_, s)), hit) =>
+      assert(hit == oracleFound(lake(e.parent), Seq(s)).head, e)
+    }
+  }
+
+  test("3 CLP jobs for any number of children and parents: 2 to sample, 1 to scan, none confirming") {
+    Seq(Seq(Edge("p", "bad")), lakeEdges).foreach { edges =>
+      val g = ContainmentGraph(lake.keys, edges)
+      val (res, jobs) = jobDescriptions(CLP.prune(g, lake(_), n => sch(lake(n)), CLPConfig(s = 2, t = 5)))
+      assert(res.pruned.contains(Edge("p", "bad")) && !res.pruned.contains(Edge("p", "filt")))
+      assert(jobs == Seq("clp: sample", "clp: sample", "clp: scan"), jobs)
+    }
+  }
+
+  // A join confirmation is two jobs: the broadcast of the parent and the anti-join.
+  test("an int child column under a long parent column with missing values runs one join confirmation") {
+    val parent = spark.range(10).select(col("id"), (col("id") * 2).as("twice")).cache()
+    val child = spark.createDataFrame(Seq((1, 3L), (4, 9L))).toDF("id", "twice")
+    val (pruned, jobs) = jobDescriptions(check(parent, child, CLPConfig(s = 2, t = 10)))
+    assert(pruned)
+    assert(jobs.count(_ == "clp: confirm") == 2, jobs)
+    assert(jobs.filter(_ != "clp: confirm") == Seq("clp: sample", "clp: sample", "clp: scan"), jobs)
   }
 }

@@ -27,6 +27,16 @@ class StatsCatalogSpec extends SparkSpec {
     assert(s.cols("l_extendedprice") == NumStats(row.getDouble(2), row.getDouble(3)))
   }
 
+  test("compute's jobs are described `stats: compute`, and the caller's description comes back") {
+    val (sc, df) = (spark.sparkContext, li)
+    val ((_, after), jobs) = jobDescriptions {
+      sc.setJobDescription("caller")
+      (StatsCatalog.compute(df), sc.getLocalProperty("spark.job.description"))
+    }
+    assert(jobs.nonEmpty && jobs.forall(_ == "stats: compute"), jobs)
+    assert(after == "caller")
+  }
+
   test("row count matches the DuckDB oracle") {
     val cnt = li.agg(count(lit(1)).as("n"))
     Oracle.assertEquivalent(cnt, "SELECT count(*) AS n FROM lineitem", "lineitem" -> li)
