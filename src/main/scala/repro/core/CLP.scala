@@ -89,8 +89,8 @@ final case class CLPResult(
   *
   * So a call runs three Spark jobs, plus two per join-confirmed edge, each
   * described `clp: sample`, `clp: scan` or `clp: confirm` after its phase.
-  * Planning runs no job unless a frame's plan has an exchange, whose stages
-  * adaptive execution runs while planning; those jobs are `clp: plan`.
+  * Planning runs no job: a frame's shuffle stage runs inside the first job
+  * that reads its plan, and later jobs reuse its output.
   *
   * Search columns are drawn from the scalar leaves only: an array (or a map,
   * flattened to sorted entries) has no literal to filter by. Such leaves
@@ -123,7 +123,7 @@ object CLP {
       .groupMapReduce(_._1)(_._2)(_ ++ _).map { case (n, ts) => n -> ts.distinct.sorted }
     val names = cols.keys.toSeq.sorted
     val spark = dfs(names.head).sparkSession
-    val plans = names.zip(Jobs.described(spark, "clp: plan")(Par.map(names)(n => new Plan(dfs(n), cols(n))))).toMap
+    val plans = names.zip(Par.map(names)(n => new Plan(dfs(n), cols(n)))).toMap
 
     // (a) one sample per (child, common columns)
     val groups = probed.map(groupOf).distinct
