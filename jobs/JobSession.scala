@@ -11,7 +11,6 @@ object JobSession {
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(app)
       .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "16"))
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .config("spark.ui.enabled", false)
       .getOrCreate()
 

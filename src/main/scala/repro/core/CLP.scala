@@ -1,13 +1,14 @@
 package repro.core
 
 import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.{Column, DataFrame, Row}
-import org.apache.spark.sql.catalyst.{CatalystTypeConverters, InternalRow}
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.catalyst.expressions.{
-  BoundReference, Cast, Coalesce, EqualTo, Expression, If, IsNotNull, Literal, UnsafeProjection, XxHash64,
+  And, BoundReference, Cast, Coalesce, CollationAwareXxHash64, EqualNullSafe, EqualTo, EvalMode, Expression, If,
+  IsNotNull, IsNull, Literal, UnsafeProjection, XxHash64,
 }
-import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types.{ArrayType, DataType, LongType, MapType, StringType, StructType}
+import org.apache.spark.sql.internal.SQLConf
+import org.apache.spark.sql.types.{ArrayType, DataType, LongType, MapType, StructType}
 
 import scala.jdk.CollectionConverters._
 import scala.reflect.ClassTag
@@ -32,8 +33,8 @@ final case class CLPConfig(
     */
   val pivotCandidates: Int = 64
   /** Reported only: the driver-side pool size ([[Par.Threads]]) CLP plans its
-    * datasets and confirms its join-checked edges on. Its sampling and scan
-    * phases are one Spark job each, whatever the number of datasets.
+    * datasets on. Its sampling and scan phases are one Spark job each,
+    * whatever the number of datasets.
     */
   val parallelism: Int = Par.Threads
 }
@@ -71,38 +72,36 @@ final case class CLPResult(
   *     holding that pivot with the smallest salted hashes. Both are
   *     functions of the child's content only, so verdicts do not depend on
   *     partitioning.
-  *  - (b) '''One hash scan per parent''' (one job). Each parent's rows are
-  *     hashed projected onto each incoming child's columns, and the hashes
-  *     found in that child's sample are kept.
-  *  - (c) '''Verdicts.''' An edge whose sampled rows were all found is
-  *     kept: a hash collision can only keep an edge. An edge with a missing
-  *     hash is pruned straight away when every common column is
-  *     [[hashExact]] on both sides, since equal values of one type hash
-  *     equal (Spark's `xxhash64` also equates `-0.0` with `0.0` and every NaN,
-  *     as `<=>` does). Any other such edge (int vs long, float vs double,
-  *     decimals of different scale, date vs timestamp, non-binary
-  *     collations, where `<=>` coerces but the hashes differ) is pruned only
-  *     if a null-safe left-anti join of its missing rows against the parent
-  *     returns a row (two jobs per edge, over [[Par]]); there a child column
-  *     whose type differs from the parent's is try-cast to it, and a value
-  *     the cast changes matches nothing.
+  *  - (b) '''One hash scan per parent''' (one job). On the driver, each
+  *     sampled row becomes the key it must find in the parent: a child
+  *     column whose type differs from the parent's is try-cast to the
+  *     parent's type (in the session time zone), and the row's
+  *     `CollationAwareXxHash64` is its key. A row is kept only if every cast
+  *     casts back to the child's value; where Spark cannot cast between the
+  *     types (an array and a scalar) the value must be null. So a value the
+  *     cast rounds (double 1.5 to int 1) or fails on (string 'abc' to int)
+  *     has no key. Each parent's rows are hashed projected onto each
+  *     incoming child's columns with the same expression.
   *
-  * So a call runs three Spark jobs, plus two per join-confirmed edge, each
-  * described `clp: sample`, `clp: scan` or `clp: confirm` after its phase.
+  * An edge is pruned when a sampled row has no key or its key is not among
+  * the parent's hashes; a hash collision can only keep an edge. Equal values
+  * of one type hash equal: the hash equates `-0.0` with `0.0` and every NaN,
+  * and strings by their collation key, as `<=>` does. So a call runs three
+  * Spark jobs, each described `clp: sample` or `clp: scan` after its phase.
   * Planning runs no job: a frame's shuffle stage runs inside the first job
   * that reads its plan, and later jobs reuse its output.
   *
   * Search columns are drawn from the scalar leaves only: an array (or a map,
   * flattened to sorted entries) has no literal to filter by. Such leaves
-  * still take part in the hashes and the join.
+  * still take part in the hashes.
   */
 object CLP {
 
   /** Probe results of one (child, common columns) group: the rows each probe
-    * drew, keyed by their unsalted content hash.
+    * drew, of type `schema`, keyed by their unsalted content hash.
     */
-  private[core] final case class Sample(common: Seq[String], schema: StructType, probes: Seq[Map[Long, Row]]) {
-    val rows: Map[Long, Row] = probes.foldLeft(Map.empty[Long, Row])(_ ++ _)
+  private[core] final case class Sample(common: Seq[String], schema: StructType, probes: Seq[Map[Long, InternalRow]]) {
+    val rows: Map[Long, InternalRow] = probes.foldLeft(Map.empty[Long, InternalRow])(_ ++ _)
     def drawn: Long = probes.count(_.nonEmpty).toLong
   }
 
@@ -130,40 +129,13 @@ object CLP {
     val samples = groups.zip(Jobs.described(spark, "clp: sample")(sample(groups, plans, cfg))).toMap
     val sampleOf = (e: Edge) => samples(groupOf(e))
 
-    // (b) one scan of every parent, over every incoming edge whose child drew rows
+    // (b) one scan of every parent, over every incoming edge whose child drew
+    // rows; an edge is pruned when one of them is not found
     val scanned = probed.filter(sampleOf(_).rows.nonEmpty)
-    val found = scanned.zip(Jobs.described(spark, "clp: scan")(foundHashes(scanned.map(e => plans(e.parent) -> sampleOf(e)))))
-
-    // (c) a hash miss prunes a hash-exact edge; any other edge with one is
-    // pruned only if the join confirms it
-    val suspects = found.flatMap { case (e, hit) =>
-      val missing = sampleOf(e).rows.filter { case (h, _) => !hit(h) }.values.toSeq
-      if (missing.isEmpty) None else Some(e -> missing)
-    }
-    val (proven, unproven) = suspects.partition { case (e, _) =>
-      val (p, c) = (dfs(e.parent).schema, dfs(e.child).schema)
-      sampleOf(e).common.forall(t => hashExact(c(t).dataType, p(t).dataType))
-    }
-    val confirmed = Par.map(unproven) { case (e, rows) =>
-      e -> Jobs.described(spark, "clp: confirm")(refutes(dfs(e.parent), sampleOf(e), rows))
-    }.collect { case (e, true) => e }
-    val pruned = proven.map(_._1).toSet ++ confirmed
+    val found = Jobs.described(spark, "clp: scan")(foundHashes(scanned.map(e => plans(e.parent) -> sampleOf(e))))
+    val pruned = scanned.zip(found).collect { case (e, hit) if hit.size < sampleOf(e).rows.size => e }.toSet
 
     CLPResult(graph.removeEdges(pruned), pruned, probed.map(sampleOf(_).drawn).sum)
-  }
-
-  /** Can a content-hash miss on this column stand as proof that the value is
-    * absent? Only when both sides hash it alike: the same type at every
-    * depth (nullability aside, which `xxhash64` does not read; struct field
-    * names included) and every string in the binary collation.
-    */
-  private[core] def hashExact(child: DataType, parent: DataType): Boolean = (child, parent) match {
-    case (a: ArrayType, b: ArrayType)   => hashExact(a.elementType, b.elementType)
-    case (a: MapType, b: MapType)       => hashExact(a.keyType, b.keyType) && hashExact(a.valueType, b.valueType)
-    case (a: StructType, b: StructType) =>
-      a.length == b.length && a.fields.zip(b.fields).forall { case (f, g) => f.name == g.name && hashExact(f.dataType, g.dataType) }
-    case (a: StringType, b: StringType) => a.collationId == StringType.collationId && b.collationId == StringType.collationId
-    case _                              => child == parent
   }
 
   /** A dataset's frame narrowed to `cols` and planned once: analysis,
@@ -174,6 +146,7 @@ object CLP {
     private val flat = df.select(cols.map(qcol): _*)
     val schema: StructType = flat.schema
     val rdd: RDD[InternalRow] = flat.queryExecution.toRdd
+    val timeZone: String = df.sparkSession.conf.get(SQLConf.SESSION_LOCAL_TIMEZONE.key)
 
     /** Catalyst references to `tokens` in the rows of `rdd`. */
     def refs(tokens: Seq[String]): Seq[BoundReference] = tokens.map { t =>
@@ -196,10 +169,8 @@ object CLP {
     val tops = collectAll(pivots.map { case (g, ps) => specs(g).tops(g, ps, cfg.t) }).groupBy(x => (x._1, x._2))
     val pivoted = pivots.map(_._1).toSet
     specs.zipWithIndex.map { case (p, g) =>
-      val toRow = CatalystTypeConverters.createToScalaConverter(p.schema)
       val probes = if (!pivoted(g)) Nil else (0 until p.k).map { j =>
-        tops.getOrElse((g, j), Array.empty).sortBy(_._3).distinctBy(_._3).take(cfg.t)
-          .map(x => x._4 -> toRow(x._5).asInstanceOf[Row]).toMap
+        tops.getOrElse((g, j), Array.empty).sortBy(_._3).distinctBy(_._3).take(cfg.t).map(x => x._4 -> x._5).toMap
       }
       Sample(p.common, p.schema, probes)
     }
@@ -292,13 +263,15 @@ object CLP {
   }
 
   /** Phase (b): one Spark job over the union of the parents' plans. For each
-    * (parent plan, sample), the sample's content hashes found among the
+    * (parent plan, sample), the sample's content hashes whose rows the parent
+    * holds: each row's [[parentKeys key]] found among the hashes of the
     * parent's rows projected onto the sample's columns.
     */
   private[core] def foundHashes(scans: Seq[(Plan, Sample)]): Seq[Set[Long]] = {
+    val keyed = scans.map { case (p, s) => parentKeys(p, s) }
     val rdds = scans.indices.groupBy(scans(_)._1).toSeq.map { case (p, ids) =>
-      val hashes = ids.map(i => XxHash64(p.refs(scans(i)._2.common), 42L))
-      val wanted = ids.map(i => scans(i)._2.rows.keys.toSet)
+      val hashes = ids.map(i => CollationAwareXxHash64(p.refs(scans(i)._2.common), 42L))
+      val wanted = ids.map(i => keyed(i).keySet)
       p.rdd.mapPartitions { it =>
         val hash = UnsafeProjection.create(hashes)
         val seen = Array.fill(ids.size)(Set.newBuilder[Long])
@@ -313,40 +286,31 @@ object CLP {
       }
     }
     val found = collectAll(rdds).groupMapReduce(_._1)(_._2)(_ ++ _)
-    scans.indices.map(found.getOrElse(_, Set.empty[Long]))
+    scans.indices.map(i => found.getOrElse(i, Set.empty[Long]).flatMap(keyed(i)))
   }
 
-  /** Phase (c), for an edge that is not hash-exact: does some row of `rows`
-    * (drawn by `s`) miss from the parent under a null-safe join on all of
-    * the sample's columns?
+  /** The key each row of `s` must find among `parent`'s row hashes, mapped to
+    * the content hashes of the rows that have it. A child column whose type
+    * differs from the parent's is try-cast to it; a row is keyed only if
+    * every such cast casts back to the child's value, or, where Spark cannot
+    * cast between the two types, the value is null. Samples hold at most
+    * s·t rows, so the expressions are evaluated interpreted.
     */
-  private[core] def refutes(parentDf: DataFrame, s: Sample, rows: Seq[Row]): Boolean = {
-    val sampled = parentDf.sparkSession.createDataFrame(rows.asJava, s.schema).alias("l")
-    val parentSide = parentDf.select(s.common.map(qcol): _*).alias("r")
-    val cond = s.common.map { t =>
-      sameValue(col(s"l.`$t`"), s.schema(t).dataType, col(s"r.`$t`"), parentSide.schema(t).dataType)
-    }.reduce(_ && _)
-    // Tables here are small in absolute terms; hint the join so the
-    // globally-disabled auto-broadcast does not force a full shuffle.
-    sampled.join(parentSide.hint("broadcast"), cond, "left_anti").collect().nonEmpty
+  private def parentKeys(parent: Plan, s: Sample): Map[Long, Seq[Long]] = {
+    val cast = (e: Expression, dt: DataType) => Cast(e, nullable(dt), Some(parent.timeZone), EvalMode.TRY)
+    val (values, lossless) = s.schema.fields.toSeq.zipWithIndex.map { case (f, i) =>
+      val (ref, pt) = (BoundReference(i, f.dataType, f.nullable), parent.schema(f.name).dataType)
+      if (f.dataType == pt) (ref, Literal(true))
+      else if (Cast.canTryCast(f.dataType, nullable(pt)) && Cast.canTryCast(pt, nullable(f.dataType)))
+        (cast(ref, pt), EqualNullSafe(cast(cast(ref, pt), f.dataType), ref))
+      else (Literal(null, pt), IsNull(ref))
+    }.unzip
+    val (key, keep) = (CollationAwareXxHash64(values, 42L), lossless.reduce(And))
+    s.rows.toSeq.collect { case (h, r) if keep.eval(r) == true => key.eval(r).asInstanceOf[Long] -> h }.groupMap(_._1)(_._2)
   }
-
-  /** Null-safe equality of child value `c` (type `ct`) and parent value `p`
-    * (type `pt`). Where the types differ, `<=>` fails on types with no common
-    * one (boolean vs int) and on a string that does not parse, so `c` is
-    * try-cast to `pt` and matches only if it casts back to itself: a value
-    * the cast rounds (double 1.5 to int 1) or fails on matches nothing. Where
-    * Spark cannot cast between the types (an array and a scalar), only nulls match.
-    */
-  private def sameValue(c: Column, ct: DataType, p: Column, pt: DataType): Column =
-    if (ct == pt) c <=> p
-    else if (Cast.canTryCast(ct, nullable(pt)) && Cast.canTryCast(pt, nullable(ct))) {
-      val cp = c.try_cast(nullable(pt))
-      cp <=> p && cp.try_cast(nullable(ct)) <=> c
-    } else c.isNull && p.isNull
 
   /** `dt` with nulls allowed at every depth, so any value of its shape casts to it. */
-  private def nullable(dt: DataType): DataType = dt match {
+  private[core] def nullable(dt: DataType): DataType = dt match {
     case a: ArrayType  => ArrayType(nullable(a.elementType), containsNull = true)
     case m: MapType    => MapType(nullable(m.keyType), nullable(m.valueType), valueContainsNull = true)
     case s: StructType => StructType(s.fields.map(f => f.copy(dataType = nullable(f.dataType), nullable = true)))

@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.{Column, DataFrame, Row}
 import org.apache.spark.sql.catalyst.{CatalystTypeConverters, InternalRow}
-import org.apache.spark.sql.catalyst.expressions.UnsafeProjection
+import org.apache.spark.sql.catalyst.expressions.{Cast, UnsafeProjection}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
 import org.scalacheck.{Gen, Prop, Test}
@@ -16,7 +16,17 @@ import repro.stats.StatsCatalog.qcol
 import scala.jdk.CollectionConverters._
 import scala.util.Random
 
+object CLPSpec {
+  /** A column of the properties: its child type, its parent type and a pool
+    * of (child value, parent value) pairs, each of which stands for one value.
+    */
+  private final case class Pooled(name: String, child: DataType, parent: DataType, pool: Seq[(Any, Any)]) {
+    def flipped: Pooled = Pooled(name, parent, child, pool.map(_.swap))
+  }
+}
+
 class CLPSpec extends SparkSpec {
+  import CLPSpec.Pooled
 
   lazy val li = SynthData.lineitem(spark, sf = 0.0002, seed = 23).cache()
   private def sch(df: DataFrame): SchemaSet = SchemaSet.fromStruct(df.schema)
@@ -170,11 +180,10 @@ class CLPSpec extends SparkSpec {
     assert(one.pruned.contains(Edge("flagN", "flagR")) && !one.pruned.contains(Edge("p", "flagN")))
   }
 
-  // Exactness: a row whose content hash is not found in the parent is only
-  // a suspect; the null-safe join decides. An int key against a long key
-  // always misses the hash (Spark hashes an int in 4 bytes, a long in 8),
-  // so those cases reach the join. Spark's xxhash64 equates -0.0 and 0.0,
-  // so with equal types the sample's hashes are found directly.
+  // Exactness: a sampled row is looked up by its hash after its values are
+  // cast to the parent's types. An int key would never find a long one
+  // uncast (Spark hashes an int in 4 bytes, a long in 8). Spark's hashes
+  // equate -0.0 and 0.0, so with equal types a row is found directly.
   private lazy val zeros = spark.createDataFrame(Seq((1L, 0.0), (2L, 1.5))).toDF("id", "v")
 
   test("a -0.0 child value against a 0.0 parent value is kept") {
@@ -210,26 +219,9 @@ class CLPSpec extends SparkSpec {
     assert(scans.value == 2)
   }
 
-  test("hashExact: equal types at every depth, nullability aside, binary collation only") {
-    val pair = (n: Boolean) => ArrayType(StructType(Seq(StructField("a", IntegerType, n), StructField("b", StringType))), n)
-    assert(CLP.hashExact(pair(true), pair(false)))
-    assert(CLP.hashExact(MapType(StringType, ArrayType(DoubleType)), MapType(StringType, ArrayType(DoubleType))))
-    assert(!CLP.hashExact(IntegerType, LongType))
-    assert(!CLP.hashExact(FloatType, DoubleType))
-    assert(!CLP.hashExact(DecimalType(10, 2), DecimalType(12, 3)))
-    assert(!CLP.hashExact(DecimalType(10, 2), DecimalType(20, 2)))
-    assert(!CLP.hashExact(DateType, TimestampType))
-    assert(!CLP.hashExact(TimestampType, TimestampNTZType))
-    assert(!CLP.hashExact(ArrayType(IntegerType), ArrayType(LongType)))
-    assert(!CLP.hashExact(StringType("UTF8_LCASE"), StringType("UTF8_LCASE")))
-    assert(!CLP.hashExact(ArrayType(StringType("UTF8_LCASE")), ArrayType(StringType("UTF8_LCASE"))))
-    assert(!CLP.hashExact(pair(true), ArrayType(StructType(Seq(StructField("x", IntegerType), StructField("b", StringType))))))
-  }
-
-  test("a UTF8_LCASE child 'A' under a parent 'a' is kept: collated strings go through the join") {
+  test("a UTF8_LCASE child 'A' under a parent 'a' is kept: collated strings hash by their collation key") {
     val parent = spark.range(2).select(col("id"), collate(when(col("id") === 0, lit("a")).otherwise(lit("b")), "UTF8_LCASE").as("s"))
     val child = spark.range(1).select(col("id"), collate(lit("A"), "UTF8_LCASE").as("s"))
-    assert(!CLP.hashExact(child.schema("s").dataType, parent.schema("s").dataType))
     assert(!check(parent, child, CLPConfig(s = 2, t = 10)))
   }
 
@@ -320,59 +312,109 @@ class CLPSpec extends SparkSpec {
     case _                     => v
   }
 
-  /** A parent and a child of one random schema, its first column drawn from
-    * `first` and up to three more from `rest`: the child holds some parent
-    * rows (their twins, half the time) and up to two rows drawn afresh.
+  private def same(pools: Seq[(DataType, Seq[Any])]): Seq[Pooled] =
+    pools.map { case (dt, vs) => Pooled(dt.sql, dt, dt, vs.map(v => (v, v))) }
+
+  // Columns whose child and parent types differ, or whose equal values
+  // differ in their bytes (UTF8_LCASE). Each pool holds pairs whose child
+  // value casts to the parent value and back, pairs whose child value casts
+  // to another value, and pairs that, read one way or the other, hold a
+  // value the cast rounds, overflows or fails on.
+  private val crossPools: Seq[Pooled] = {
+    val dec = (pairs: Seq[(String, String)]) => pairs.map { case (c, p) => new java.math.BigDecimal(c) -> new java.math.BigDecimal(p) }
+    val (ts, date, lcase) = (java.sql.Timestamp.valueOf(_: String), java.sql.Date.valueOf(_: String), StringType("UTF8_LCASE"))
+    Seq(
+      Pooled("int/long", IntegerType, LongType, Seq(0 -> 0L, 1 -> 1L, -7 -> -7L, Int.MaxValue -> (1L << 40))),
+      Pooled("float/double", FloatType, DoubleType, Seq(2.5f -> 2.5, -0.0f -> 0.0, Float.NaN -> nan2, 0.1f -> 0.1, Float.MaxValue -> 1e300)),
+      Pooled("decimal(10,2)/decimal(12,3)", DecimalType(10, 2), DecimalType(12, 3),
+        dec(Seq("1.23" -> "1.230", "0" -> "0", "-5.10" -> "-5.100", "1.24" -> "1.235", "99999999.99" -> "123456789.000"))),
+      Pooled("decimal(12,4)/decimal(10,2)", DecimalType(12, 4), DecimalType(10, 2),
+        dec(Seq("1.2300" -> "1.23", "1.2345" -> "1.23", "0" -> "0", "-3.1400" -> "-3.14", "12345678.9012" -> "12345678.90"))),
+      Pooled("date/timestamp", DateType, TimestampType, Seq(
+        date("2020-01-01") -> ts("2020-01-01 00:00:00"), date("1969-12-31") -> ts("1969-12-31 00:00:00"),
+        date("2020-01-01") -> ts("2020-01-01 10:00:00"))),
+      Pooled("timestamp/timestamp_ntz", TimestampType, TimestampNTZType, Seq(
+        ts("2020-01-01 00:00:00.000001") -> java.time.LocalDateTime.of(2020, 1, 1, 0, 0, 0, 1000),
+        ts("1999-12-31 23:59:00") -> java.time.LocalDateTime.of(1999, 12, 31, 23, 59),
+        ts("2020-01-01 00:00:00") -> java.time.LocalDateTime.of(2020, 1, 1, 1, 0))),
+      Pooled("UTF8_LCASE/binary", lcase, StringType, Seq("a" -> "a", "A" -> "a", "b" -> "B", "\uD83D\uDE00" -> "\uD83D\uDE00", "" -> "")),
+      Pooled("UTF8_LCASE/UTF8_LCASE", lcase, lcase, Seq("a" -> "A", "A" -> "a", "b" -> "b", "\uFF61x" -> "\uFF61X")),
+      Pooled("string/int", StringType, IntegerType, Seq("1" -> 1, "01" -> 1, "-7" -> -7, "abc" -> 0, " 2" -> 2, "2147483648" -> Int.MaxValue)),
+      Pooled("boolean/int", BooleanType, IntegerType, Seq(true -> 1, false -> 0, true -> 2)),
+      Pooled("array<int>/int", ArrayType(IntegerType), IntegerType, Seq(Seq(1) -> 1, Seq() -> 0)),
+      Pooled("array<int>/array<long>", ArrayType(IntegerType), ArrayType(LongType),
+        Seq(Seq(1, 2) -> Seq(1L, 2L), Seq(null) -> Seq(null), Seq() -> Seq(), Seq(Int.MaxValue) -> Seq(1L << 40))),
+    )
+  }
+
+  /** A parent and a child over one random set of columns, the first drawn
+    * from `first` and up to three more from `rest`, each read from child to
+    * parent or, half the time, the other way round. The parent's rows draw
+    * pairs; the child holds the child values of some of them (their twins,
+    * half the time) and up to two rows drawn afresh. Returns the child's and
+    * the parent's schemas, the parent's and the child's rows, and the names
+    * of the columns.
     */
-  private def pairOf(first: Seq[(DataType, Seq[Any])], rest: Seq[(DataType, Seq[Any])]): Gen[(StructType, Seq[Row], Seq[Row])] = for {
+  private def pairOf(first: Seq[Pooled], rest: Seq[Pooled]): Gen[(StructType, StructType, Seq[Row], Seq[Row], Seq[String])] = for {
     head <- Gen.oneOf(first)
     n <- Gen.choose(0, 3)
     tail <- Gen.listOfN(n, Gen.oneOf(rest))
-    cols = head +: tail
-    row = cols.foldRight(Gen.const(List.empty[Any])) { case ((_, pool), tail) =>
-      for (v <- Gen.frequency(1 -> Gen.const(null), 5 -> Gen.oneOf(pool)); vs <- tail) yield v :: vs
-    }.map(Row.fromSeq)
+    flips <- Gen.listOfN(n + 1, Gen.oneOf(true, false))
+    cols = (head +: tail).zip(flips).map { case (c, flip) => if (flip) c.flipped else c }
+    row = cols.foldRight(Gen.const(List.empty[(Any, Any)])) { case (c, tail) =>
+      for (v <- Gen.frequency[(Any, Any)](1 -> Gen.const((null, null)), 5 -> Gen.oneOf(c.pool)); vs <- tail) yield v :: vs
+    }
     parent <- Gen.choose(1, 10).flatMap(Gen.listOfN(_, row))
     kept <- Gen.someOf(parent)
     twins <- Gen.oneOf(true, false)
     fresh <- Gen.choose(if (kept.isEmpty) 1 else 0, 2).flatMap(Gen.listOfN(_, row))
   } yield {
-    val schema = StructType(cols.zipWithIndex.map { case ((dt, _), i) => StructField(s"c$i", dt) })
-    (schema, parent, kept.toSeq.map(r => if (twins) twin(r).asInstanceOf[Row] else r) ++ fresh)
+    val schema = (side: Pooled => DataType) => StructType(cols.zipWithIndex.map { case (c, i) => StructField(s"c$i", side(c)) })
+    val rows = (rs: Seq[List[(Any, Any)]], side: ((Any, Any)) => Any) => rs.map(r => Row.fromSeq(r.map(side)))
+    val child = rows(kept.toSeq, _._1).map(r => if (twins) twin(r).asInstanceOf[Row] else r) ++ rows(fresh, _._1)
+    (schema(_.child), schema(_.parent), rows(parent, _._2), child, cols.map(_.name))
   }
-  private val samePair = pairOf(scalarPools, scalarPools ++ nestedPools)
+  private val samePools = same(scalarPools)
+  private val verdictPair = pairOf(samePools ++ crossPools, samePools ++ same(nestedPools) ++ crossPools)
 
   /** The one-group sample CLP draws from `child`. */
   private def sampled(child: DataFrame, common: Seq[String], cfg: CLPConfig): CLP.Sample =
     CLP.sample(Seq("c" -> common), _ => new CLP.Plan(child, common), cfg).head
 
-  test("property: on same-typed columns a hash miss prunes exactly when the null-safe anti-join on the same sample does") {
-    val verdicts = scala.collection.mutable.Set.empty[Boolean]
-    val prop = Prop.forAllNoShrink(samePair) { case (schema, parentRows, childRows) =>
-      val frame = (rows: Seq[Row]) => StatsCatalog.flatten(spark.createDataFrame(rows.asJava, schema))
-      val (parent, child) = (frame(parentRows), frame(childRows))
+  private def frame(schema: StructType, rows: Seq[Row]): DataFrame = StatsCatalog.flatten(spark.createDataFrame(rows.asJava, schema))
+
+  test("property: a hash miss after casting to the parent's types prunes exactly when the null-safe anti-join on the same sample does") {
+    val crossNames = crossPools.map(_.name).toSet
+    val (verdicts, crossed) = (scala.collection.mutable.Set.empty[Boolean], scala.collection.mutable.Set.empty[String])
+    var crossCases = 0
+    val prop = Prop.forAllNoShrink(verdictPair) { case (childSchema, parentSchema, parentRows, childRows, names) =>
+      val (parent, child) = (frame(parentSchema, parentRows), frame(childSchema, childRows))
       val cfg = CLPConfig(s = 4, t = 10)
-      val common = sch(child).tokens.toSeq.sorted
-      assert(common.forall(t => CLP.hashExact(child.schema(t).dataType, parent.schema(t).dataType)))
       val pruned = pruneEdge(parent, child, cfg).pruned.nonEmpty
-      val drawn = sampled(child, common, cfg)
-      val joined = CLP.refutes(parent, drawn, drawn.rows.values.toSeq)
-      verdicts += pruned
+      val joined = refutes(parent, sampled(child, sch(child).tokens.toSeq.sorted, cfg))
+      if (names.exists(crossNames)) {
+        crossCases += 1
+        verdicts += pruned
+        crossed ++= names.filter(crossNames)
+      }
       pruned == joined
     }
-    val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(30).withInitialSeed(7L), prop)
+    val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(80).withInitialSeed(7L), prop)
     assert(res.passed, Pretty.pretty(res))
-    // Both verdicts occur, so neither side of the equality is vacuous.
-    assert(verdicts == Set(true, false))
+    // At least 40 cases hold a cross-typed column, every pair occurs, and
+    // both verdicts occur among them, so neither side of the equality is vacuous.
+    assert(crossCases >= 40 && crossed == crossNames && verdicts == Set(true, false), (crossCases, crossNames -- crossed, verdicts))
   }
 
-  // The DataFrame formulation of phases (a) and (b) that CLP ran before it
-  // planned each dataset once, kept as the oracle its plans must match.
+  // The DataFrame formulation of phase (a) that CLP ran before it planned
+  // each dataset once, kept as the oracle its plans must match; phase (b)'s
+  // oracle is the null-safe join below.
 
   /** Phase (a) as DataFrame queries: one for every probe's pivot, one for every probe's rows. */
   private def oracleSample(child: String, df: DataFrame, common: Seq[String], cfg: CLPConfig): CLP.Sample = {
     val cols: Seq[Column] = common.map(qcol)
     val schema = df.select(cols: _*).schema
+    val toCatalyst = CatalystTypeConverters.createToCatalystConverter(schema)
     val rng = new scala.util.Random(cfg.seed ^ child.hashCode.toLong)
     val scalar = common.filter(c => df.schema(c).dataType match {
       case _: ArrayType | _: MapType | _: StructType => false
@@ -415,26 +457,56 @@ class CLPSpec extends SparkSpec {
         best.iterator.zipWithIndex.flatMap { case (top, j) => top.asScala.iterator.map { case (h, row) => (j, h, row) } }
       }.collect()
     val probes = (0 until k).map { j =>
-      tops.filter(_._1 == j).sortBy(_._2).distinctBy(_._2).take(t).map(_._3).toMap
+      tops.filter(_._1 == j).sortBy(_._2).distinctBy(_._2).take(t).map { case (_, _, (c, row)) => c -> toCatalyst(row).asInstanceOf[InternalRow] }.toMap
     }
     CLP.Sample(common, schema, probes)
   }
 
-  /** Phase (b) as one DataFrame query: for each sample, its content hashes found among the parent's rows. */
-  private def oracleFound(parentDf: DataFrame, samples: Seq[CLP.Sample]): Seq[Set[Long]] = {
-    val n = samples.size
-    val hits = samples.map { s =>
-      val h = xxhash64(s.common.map(qcol): _*)
-      when(h.isin(s.rows.keys.toSeq: _*), h)
-    }
-    val perPartition = parentDf.select(hits: _*).where(hits.map(_.isNotNull).reduce(_ || _))
-      .rdd.mapPartitions { it =>
-        val seen = Array.fill(n)(Set.newBuilder[Long])
-        it.foreach(r => for (g <- 0 until n if !r.isNullAt(g)) seen(g) += r.getLong(g))
-        Iterator.single(seen.map(_.result()))
-      }.collect()
-    (0 until n).map(g => perPartition.flatMap(_(g)).toSet)
+  /** Phase (b) as one null-safe left-semi join per sample: the content
+    * hashes of the sample's rows that the parent holds.
+    */
+  private def oracleFound(parentDf: DataFrame, samples: Seq[CLP.Sample]): Seq[Set[Long]] =
+    samples.map(joined(parentDf, _, "left_semi"))
+
+  // Alg. 3's check as the paper states it, a null-safe join of the sampled
+  // rows against the parent: the reference the scan's found sets and
+  // verdicts must match.
+
+  /** Does some row of `s` miss from the parent under a null-safe join on all
+    * of the sample's columns?
+    */
+  private def refutes(parentDf: DataFrame, s: CLP.Sample): Boolean = joined(parentDf, s, "left_anti").nonEmpty
+
+  /** The content hashes of the rows of `s` that a null-safe `how` join
+    * ("left_semi" or "left_anti") against the parent keeps, joined on all of
+    * the sample's columns.
+    */
+  private def joined(parentDf: DataFrame, s: CLP.Sample, how: String): Set[Long] = {
+    val toRow = CatalystTypeConverters.createToScalaConverter(s.schema)
+    val rows = s.rows.toSeq.map { case (h, r) => Row.fromSeq(h +: toRow(r).asInstanceOf[Row].toSeq) }
+    val sampled = spark.createDataFrame(rows.asJava, StructType(StructField("__hash", LongType) +: s.schema.fields)).alias("l")
+    val parentSide = parentDf.select(s.common.map(qcol): _*).alias("r")
+    val cond = s.common.map { t =>
+      sameValue(col(s"l.`$t`"), s.schema(t).dataType, col(s"r.`$t`"), parentSide.schema(t).dataType)
+    }.reduce(_ && _)
+    // Tables here are small in absolute terms; hint the join so the
+    // globally-disabled auto-broadcast does not force a full shuffle.
+    sampled.join(parentSide.hint("broadcast"), cond, how).select(col("l.__hash")).collect().map(_.getLong(0)).toSet
   }
+
+  /** Null-safe equality of child value `c` (type `ct`) and parent value `p`
+    * (type `pt`). Where the types differ, `<=>` fails on types with no common
+    * one (boolean vs int) and on a string that does not parse, so `c` is
+    * try-cast to `pt` and matches only if it casts back to itself: a value
+    * the cast rounds (double 1.5 to int 1) or fails on matches nothing. Where
+    * Spark cannot cast between the types (an array and a scalar), only nulls match.
+    */
+  private def sameValue(c: Column, ct: DataType, p: Column, pt: DataType): Column =
+    if (ct == pt) c <=> p
+    else if (Cast.canTryCast(ct, CLP.nullable(pt)) && Cast.canTryCast(pt, CLP.nullable(ct))) {
+      val cp = c.try_cast(CLP.nullable(pt))
+      cp <=> p && cp.try_cast(CLP.nullable(ct)) <=> c
+    } else c.isNull && p.isNull
 
   /** A sample as data that compares bit for bit: each probe's content hashes,
     * with each row's value bytes, so -0.0 and 0.0 differ. NaNs compare in one
@@ -450,10 +522,10 @@ class CLPSpec extends SparkSpec {
       case r: Row               => Row.fromSeq(r.toSeq.map(canonical))
       case _                    => v
     }
-    val toCatalyst = CatalystTypeConverters.createToCatalystConverter(s.schema)
+    val (toRow, toCatalyst) = (CatalystTypeConverters.createToScalaConverter(s.schema), CatalystTypeConverters.createToCatalystConverter(s.schema))
     val unsafe = UnsafeProjection.create(s.schema)
     s.probes.map(_.toSeq.sortBy(_._1).map { case (h, r) =>
-      h -> unsafe(toCatalyst(canonical(r)).asInstanceOf[InternalRow]).getBytes.toSeq
+      h -> unsafe(toCatalyst(canonical(toRow(r))).asInstanceOf[InternalRow]).getBytes.toSeq
     })
   }
 
@@ -471,15 +543,14 @@ class CLPSpec extends SparkSpec {
 
   test("property: planned phases draw the DataFrame oracle's probe keys and rows and find its hashes") {
     val gen = for {
-      pair <- pairOf(scalarPools :+ lcasePool, scalarPools ++ nestedPools :+ lcasePool)
+      pair <- pairOf(same(scalarPools :+ lcasePool), same(scalarPools ++ nestedPools :+ lcasePool) ++ crossPools)
       shape <- Gen.oneOf(shapes)
       t <- Gen.choose(1, 4)
       seed <- Gen.choose(0L, 1000L)
     } yield (pair, shape, CLPConfig(s = 4, t = t, seed = seed))
     val seen = scala.collection.mutable.Set.empty[String]
-    val prop = Prop.forAllNoShrink(gen) { case ((schema, parentRows, childRows), (shape, reshape), cfg) =>
-      val frame = (rows: Seq[Row]) => reshape(StatsCatalog.flatten(spark.createDataFrame(rows.asJava, schema)))
-      val (parent, child) = (frame(parentRows), frame(childRows))
+    val prop = Prop.forAllNoShrink(gen) { case ((childSchema, parentSchema, parentRows, childRows, _), (shape, reshape), cfg) =>
+      val (parent, child) = (reshape(frame(parentSchema, parentRows)), reshape(frame(childSchema, childRows)))
       val common = sch(child).tokens.toSeq.sorted
       val (expected, actual) = (oracleSample("c", child, common, cfg), sampled(child, common, cfg))
       seen += shape
@@ -504,7 +575,7 @@ class CLPSpec extends SparkSpec {
       val cfg = CLPConfig(s = 2, t = 10, seed = seed)
       val (expected, actual) = (oracleSample("c", child, Seq("n", "s"), cfg), sampled(child, Seq("n", "s"), cfg))
       assert(bits(actual) == bits(expected), s"seed $seed")
-      actual.probes.map(_.values.map(_.getString(1)).toSet)
+      actual.probes.map(_.values.map(_.getUTF8String(1).toString).toSet)
     }
     // Some probe's pivot is "a" or "b" in one case and draws the other case too.
     assert(drawn.flatten.exists(vs => vs.size > 1 && vs.map(_.toLowerCase).size == 1), drawn)
@@ -541,13 +612,44 @@ class CLPSpec extends SparkSpec {
     }
   }
 
-  // A join confirmation is two jobs: the broadcast of the parent and the anti-join.
-  test("an int child column under a long parent column with missing values runs one join confirmation") {
-    val parent = spark.range(10).select(col("id"), (col("id") * 2).as("twice")).cache()
-    val child = spark.createDataFrame(Seq((1, 3L), (4, 9L))).toDF("id", "twice")
-    val (pruned, jobs) = jobDescriptions(check(parent, child, CLPConfig(s = 2, t = 10)))
-    assert(pruned)
-    assert(jobs.count(_ == "clp: confirm") == 2, jobs)
-    assert(jobs.filter(_ != "clp: confirm") == Seq("clp: sample", "clp: sample", "clp: scan"), jobs)
+  test("3 CLP jobs decide same-typed and cross-typed edges alike: int vs long, UTF8_LCASE and decimal scales") {
+    val parent = spark.range(10).select(
+      col("id"),
+      (col("id") * 2).as("twice"),
+      collate(when(col("id") % 2 === 0, lit("a")).otherwise(lit("b")), "UTF8_LCASE").as("s"),
+      (col("id") / 4).cast("decimal(10,2)").as("d"),
+    ).cache()
+    val lcase = spark.createDataFrame(Seq((0L, "A"), (3L, "B"))).toDF("id", "s").select(col("id"), collate(col("s"), "UTF8_LCASE").as("s"))
+    val decimal = (v: String) => spark.range(5, 6).select(col("id"), lit(v).cast("decimal(12,4)").as("d"))
+    val dfs = Map(
+      "p" -> parent,
+      "same" -> spark.createDataFrame(Seq((1L, 3L))).toDF("id", "twice"),
+      "int" -> spark.createDataFrame(Seq((1, 3L))).toDF("id", "twice"),
+      "lcase" -> lcase,
+      "decimal" -> decimal("1.2500"),
+      "rounded" -> decimal("1.2540"),
+    )
+    val g = ContainmentGraph(dfs.keys, (dfs.keySet - "p").toSeq.map(Edge("p", _)))
+    val (res, jobs) = jobDescriptions(CLP.prune(g, dfs(_), n => sch(dfs(n)), CLPConfig(s = 2, t = 10)))
+    assert(res.pruned == Set("same", "int", "rounded").map(Edge("p", _)))
+    assert(jobs == Seq("clp: sample", "clp: sample", "clp: scan"), jobs)
+  }
+
+  // The cast runs in the session time zone, as the analyzer's try_cast does.
+  test("a date child under a timestamp parent matches the date's midnight in the session time zone") {
+    val key = "spark.sql.session.timeZone"
+    val old = spark.conf.getOption(key)
+    spark.conf.set(key, "America/Los_Angeles")
+    try {
+      val cfg = CLPConfig(s = 2, t = 10)
+      val child = spark.range(1).select(col("id"), lit("2024-03-01").cast("date").as("x"))
+      val parent = (ts: String) => spark.range(1).select(col("id"), lit(ts).cast("timestamp").as("x"))
+      val (local, utc) = (parent("2024-03-01 00:00:00"), parent("2024-03-01 00:00:00Z"))
+      assert(!check(local, child, cfg))
+      assert(check(utc, child, cfg))
+      val drawn = sampled(child, Seq("id", "x"), cfg)
+      assert(!refutes(local, drawn))
+      assert(refutes(utc, drawn))
+    } finally old.fold(spark.conf.unset(key))(spark.conf.set(key, _))
   }
 }

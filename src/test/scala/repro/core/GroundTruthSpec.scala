@@ -111,8 +111,8 @@ class GroundTruthSpec extends SparkSpec {
     val child = parent.select(col("id"), col("x").cast("float").as("x"))
     // 0.1f and 0.7f widen to 0.10000000149… and 0.699999988…, which the
     // parent lacks; 0.5f and -0.0f widen to the parent's values. MMP keeps
-    // the edge (the widened range fits), CLP's join compares widened values
-    // and prunes it, and the ground truth must agree.
+    // the edge (the widened range fits), CLP hashes the child's rows with
+    // their values widened and prunes it, and the ground truth must agree.
     assert(GroundTruth.containmentFraction(TableData.fromDf("c", child), TableData.fromDf("p", parent)) == 0.5)
     assert(!R2D2.run(Seq("p" -> parent, "c" -> child)).containmentGraph.edges.contains(Edge("p", "c")))
     val exact = child.where(col("id") >= 3)
