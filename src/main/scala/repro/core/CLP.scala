@@ -4,8 +4,8 @@ import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.catalyst.expressions.{
-  And, BoundReference, Cast, Coalesce, CollationAwareXxHash64, EqualNullSafe, EqualTo, EvalMode, Expression, If,
-  IsNotNull, IsNull, Literal, UnsafeProjection, XxHash64,
+  And, BoundReference, Cast, CollationAwareXxHash64, EqualNullSafe, EvalMode, Expression, If, IsNotNull, IsNull,
+  Literal, UnsafeProjection, XxHash64,
 }
 import org.apache.spark.sql.internal.SQLConf
 import org.apache.spark.sql.types.{ArrayType, DataType, LongType, MapType, StructType}
@@ -28,13 +28,15 @@ final case class CLPConfig(
     seed: Long = 42,
 ) {
   /** Reported only: how many leading child values the earlier per-edge CLP
-    * drew a pivot from. It no longer steers sampling; a pivot is now the
-    * value in the row with the smallest salted content hash.
+    * drew a pivot from. It no longer steers sampling: a probe's pivot is now
+    * the class of search values with the least salted value hash, uniform
+    * over the column's distinct values.
     */
   val pivotCandidates: Int = 64
-  /** Reported only: the driver-side pool size ([[Par.Threads]]) CLP plans its
-    * datasets on. Its sampling and scan phases are one Spark job each,
-    * whatever the number of datasets.
+  /** Reported only: the driver-side pool size ([[Par.Threads]]) that
+    * [[R2D2.run]] takes its datasets' stats on and CLP plans its datasets
+    * on. CLP's sampling and scan phases are one Spark job each, whatever the
+    * number of datasets.
     */
   val parallelism: Int = Par.Threads
 }
@@ -64,14 +66,17 @@ final case class CLPResult(
   * expressions (`UnsafeProjection`s built inside each task) over those plans,
   * one Spark job per round for all datasets together:
   *
-  *  - (a) '''One sample per child''' (two jobs). Edges are grouped by
+  *  - (a) '''One sample per child''' (one job). Edges are grouped by
   *     (child, common columns); SGB only emits edges with child.schema ⊆
-  *     parent.schema, so a group is one child. Probe j's pivot is its search
-  *     column's value in the non-null row with the smallest `xxhash64`
-  *     salted by (seed, child, j), and its rows are the ≤ `t` distinct rows
-  *     holding that pivot with the smallest salted hashes. Both are
-  *     functions of the child's content only, so verdicts do not depend on
-  *     partitioning.
+  *     parent.schema, so a group is one child. Probe j's pivot is the class
+  *     of its search column's non-null values with the least value hash,
+  *     `CollationAwareXxHash64` of the value salted by (seed, child, j); two
+  *     distinct values with equal hashes share the class. Its rows are the
+  *     ≤ `t` distinct rows holding the pivot with the smallest `xxhash64`
+  *     of their common columns, salted alike. One per-partition pass finds
+  *     them: each partition keeps its least value hash and the rows holding
+  *     it. Both are functions of the child's content only, so verdicts do
+  *     not depend on partitioning, and a larger `s` or `t` only adds rows.
   *  - (b) '''One hash scan per parent''' (one job). On the driver, each
   *     sampled row becomes the key it must find in the parent: a child
   *     column whose type differs from the parent's is try-cast to the
@@ -86,8 +91,8 @@ final case class CLPResult(
   * An edge is pruned when a sampled row has no key or its key is not among
   * the parent's hashes; a hash collision can only keep an edge. Equal values
   * of one type hash equal: the hash equates `-0.0` with `0.0` and every NaN,
-  * and strings by their collation key, as `<=>` does. So a call runs three
-  * Spark jobs, each described `clp: sample` or `clp: scan` after its phase.
+  * and strings by their collation key, as `<=>` does. So a call runs two
+  * Spark jobs, described `clp: sample` and `clp: scan` after their phases.
   * Planning runs no job: a frame's shuffle stage runs inside the first job
   * that reads its plan, and later jobs reuse its output.
   *
@@ -155,22 +160,19 @@ object CLP {
     }
   }
 
-  /** Phase (a): two Spark jobs over the union of the children's plans, one
-    * for every probe's pivot and one for every probe's rows, each a
-    * per-partition pass merged on the driver. Returns one sample per group.
+  /** Phase (a): one Spark job over the union of the children's plans, a
+    * per-partition pass merged on the driver: each probe keeps the entries
+    * at its least value hash over all partitions, then the ≤ `t` distinct
+    * rows with the smallest salted hashes. Returns one sample per group.
     */
   private[core] def sample(groups: Seq[(String, Seq[String])], plans: String => Plan, cfg: CLPConfig): Seq[Sample] = {
     val specs = groups.map { case (child, common) => new Probes(child, common, plans(child), cfg) }
-    val searched = specs.indices.filter(specs(_).k > 0)
-    val minima = collectAll(searched.map(g => specs(g).minima(g))).groupBy(m => (m._1, m._2))
-    val pivots = searched.map { g =>
-      g -> (0 until specs(g).k).map(j => minima.get((g, j)).map(_.minBy(_._3)._4))
-    }.filter(_._2.exists(_.nonEmpty))
-    val tops = collectAll(pivots.map { case (g, ps) => specs(g).tops(g, ps, cfg.t) }).groupBy(x => (x._1, x._2))
-    val pivoted = pivots.map(_._1).toSet
+    val tops = collectAll(specs.indices.filter(specs(_).k > 0).map(g => specs(g).tops(g, cfg.t))).groupBy(x => (x._1, x._2))
     specs.zipWithIndex.map { case (p, g) =>
-      val probes = if (!pivoted(g)) Nil else (0 until p.k).map { j =>
-        tops.getOrElse((g, j), Array.empty).sortBy(_._3).distinctBy(_._3).take(cfg.t).map(x => x._4 -> x._5).toMap
+      val probes = (0 until p.k).map { j =>
+        val drawn = tops.getOrElse((g, j), Array.empty)
+        val least = drawn.map(_._3).minOption
+        drawn.filter(x => least.contains(x._3)).sortBy(_._4).distinctBy(_._4).take(cfg.t).map(x => x._5 -> x._6).toMap
       }
       Sample(p.common, p.schema, probes)
     }
@@ -188,9 +190,13 @@ object CLP {
     }
 
   /** Alg. 3's probes of one (child, common columns) group. Probe j filters
-    * by search column j; its pivot and rows are ranked by `xxhash64` of the
-    * row's common columns salted by (seed, child, j). Salting with the
-    * child's name keeps children that share rows from drawing the same rows.
+    * by search column j: its rows are those whose search value has the
+    * least value hash, `CollationAwareXxHash64` of the value salted by
+    * (seed, child, j), so values equal under the column's collation (and
+    * -0.0 and 0.0) form one class. Among them, rows are ranked by
+    * `xxhash64` of the row's common columns with the same salt. Salting with
+    * the child's name keeps children that share rows from drawing the same
+    * rows.
     */
   private final class Probes(child: String, val common: Seq[String], val plan: Plan, cfg: CLPConfig) {
     val schema: StructType = StructType(common.map(plan.schema(_)))
@@ -204,50 +210,35 @@ object CLP {
     }
     val k: Int = search.size
     private val refs = plan.refs(common)
-    private val searchRefs = plan.refs(search)
-    private val salted: Seq[Expression] =
-      search.indices.map(j => XxHash64(Seq(Literal(cfg.seed), Literal(child), Literal(j)) ++ refs, 42L))
-
-    /** For each probe, the partition's non-null search value with the
-      * smallest salted hash: (group, probe, hash, value).
-      */
-    def minima(g: Int): RDD[(Int, Int, Long, Any)] = {
-      val (k, refs) = (this.k, searchRefs)
-      val exprs = search.indices.map(j => If(IsNotNull(refs(j)), salted(j), Literal(null, LongType)))
-      plan.rdd.mapPartitions { it =>
-        val hash = UnsafeProjection.create(exprs)
-        val best = new Array[(Long, Any)](k)
-        it.foreach { r =>
-          val hr = hash(r)
-          for (j <- 0 until k if !hr.isNullAt(j)) {
-            val h = hr.getLong(j)
-            if (best(j) == null || best(j)._1 > h) best(j) = h -> InternalRow.copyValue(refs(j).eval(r))
-          }
-        }
-        (0 until k).iterator.filter(best(_) != null).map(j => (g, j, best(j)._1, best(j)._2))
-      }
+    private val salt = (j: Int) => Seq(Literal(cfg.seed), Literal(child), Literal(j))
+    private val values: Seq[Expression] = plan.refs(search).zipWithIndex.map { case (ref, j) =>
+      If(IsNotNull(ref), CollationAwareXxHash64(salt(j) :+ ref, 42L), Literal(null, LongType))
     }
+    private val salted: Seq[Expression] = search.indices.map(j => XxHash64(salt(j) ++ refs, 42L))
 
-    /** For each probe with a pivot, the partition's ≤ `t` rows holding it
-      * with the smallest salted hashes: (group, probe, salted hash, content
-      * hash, row).
+    /** For each probe, the partition's least value hash over non-null search
+      * values and the ≤ `t` rows holding it with the smallest salted hashes:
+      * (group, probe, value hash, salted hash, content hash, row). A smaller
+      * value hash starts the probe's rows over.
       */
-    def tops(g: Int, pivots: Seq[Option[Any]], t: Int): RDD[(Int, Int, Long, Long, InternalRow)] = {
-      val k = this.k
-      val hits = search.indices.map(j => pivots(j).fold[Expression](Literal(false)) { p =>
-        Coalesce(Seq(EqualTo(searchRefs(j), Literal(p, searchRefs(j).dataType)), Literal(false)))
-      })
-      val refs = this.refs
+    def tops(g: Int, t: Int): RDD[(Int, Int, Long, Long, Long, InternalRow)] = {
+      val (k, values, refs) = (this.k, this.values, this.refs)
       val keys = salted :+ XxHash64(refs, 42L)
       plan.rdd.mapPartitions { it =>
-        val (hit, key, row) = (UnsafeProjection.create(hits), UnsafeProjection.create(keys), UnsafeProjection.create(refs))
+        val (value, key, row) = (UnsafeProjection.create(values), UnsafeProjection.create(keys), UnsafeProjection.create(refs))
+        val least = Array.fill(k)(Long.MaxValue)
         val best = Array.fill(k)(new java.util.TreeMap[Long, (Long, InternalRow)]())
         it.foreach { r =>
-          val hr = hit(r)
-          if ((0 until k).exists(hr.getBoolean)) {
-            val kr = key(r)
-            lazy val copied = row(r).copy()
-            for (j <- 0 until k if hr.getBoolean(j)) {
+          val vr = value(r)
+          lazy val kr = key(r)
+          lazy val copied = row(r).copy()
+          for (j <- 0 until k if !vr.isNullAt(j)) {
+            val v = vr.getLong(j)
+            if (v < least(j)) {
+              least(j) = v
+              best(j).clear()
+            }
+            if (v == least(j)) {
               val h = kr.getLong(j)
               val top = best(j)
               if (top.size < t || h < top.lastKey) {
@@ -257,7 +248,9 @@ object CLP {
             }
           }
         }
-        best.iterator.zipWithIndex.flatMap { case (top, j) => top.asScala.iterator.map { case (h, (c, row)) => (g, j, h, c, row) } }
+        best.iterator.zipWithIndex.flatMap { case (top, j) =>
+          top.asScala.iterator.map { case (h, (c, row)) => (g, j, least(j), h, c, row) }
+        }
       }
     }
   }

@@ -2,7 +2,8 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 
-import repro.stats.StatsCatalog
+import repro.stats.{DatasetStats, StatsCatalog}
+import repro.util.Par
 
 /** Wall-clock milliseconds of each stage of one run. `pipelineMs` leaves out
   * ingest, as the paper's Table 5 does.
@@ -52,7 +53,10 @@ object R2D2 {
 
   def run(datasets: Seq[(String, DataFrame)], clpCfg: CLPConfig = CLPConfig()): R2D2Run = {
     val catalog = new StatsCatalog
-    val (flat, ingestMs) = timed(datasets.map { case (n, df) => n -> ingest(catalog, n, df) })
+    val (flat, ingestMs) = timed {
+      val taken = Par.map(datasets) { case (n, df) => n -> flatStats(df) }
+      taken.map { case (n, (flat, stats)) => catalog.put(n, stats); n -> flat }
+    }
     val schemas = flat.map { case (n, df) => n -> SchemaSet.fromStruct(df.schema) }
     val dfs = flat.toMap
     val (sgb, sgbMs) = timed(SGB.build(schemas))
@@ -65,8 +69,17 @@ object R2D2 {
     * `name`. Returns the flattened frame, which every later stage reads.
     */
   def ingest(catalog: StatsCatalog, name: String, df: DataFrame): DataFrame = {
-    val flat = StatsCatalog.flatten(df)
-    catalog.ingest(name, flat)
+    val (flat, stats) = flatStats(df)
+    catalog.put(name, stats)
     flat
+  }
+
+  /** `df` flattened once, and the stats of the flattened frame. [[run]]
+    * takes them for its datasets concurrently over [[Par]], then registers
+    * them in input order on its own thread: the catalog is a plain map.
+    */
+  private def flatStats(df: DataFrame): (DataFrame, DatasetStats) = {
+    val flat = StatsCatalog.flatten(df)
+    (flat, StatsCatalog.ofFlat(flat))
   }
 }

@@ -3,6 +3,7 @@ package repro.stats
 import java.net.URI
 
 import org.apache.hadoop.fs.Path
+import org.apache.parquet.HadoopReadOptions
 import org.apache.parquet.column.statistics.Statistics
 import org.apache.parquet.hadoop.ParquetFileReader
 import org.apache.parquet.hadoop.metadata.ColumnChunkMetaData
@@ -51,13 +52,14 @@ object ParquetStats {
     * child range that is too wide can prune a true edge. `sizeBytes` is the
     * catalog's estimate, as [[StatsCatalog.compute]] gives it.
     */
-  def of(df: DataFrame): Option[DatasetStats] = {
-    val flat = StatsCatalog.flatten(df)
+  def of(df: DataFrame): Option[DatasetStats] = ofFlat(StatsCatalog.flatten(df))
+
+  /** [[of]] for a frame that [[StatsCatalog.flatten]] returned. */
+  private[stats] def ofFlat(flat: DataFrame): Option[DatasetStats] =
     scan(flat.queryExecution.analyzed).map { case (rel, leaves) =>
       val (rows, cols) = footers(rel, leaves)
       DatasetStats(rows, rows * flat.schema.defaultSize, cols)
     }
-  }
 
   /** The relation and the stats-bearing leaves of a flattened frame's plan,
     * when it projects them straight out of one unpartitioned parquet
@@ -98,7 +100,10 @@ object ParquetStats {
 
   /** Row count and merged min/max of `leaves` over every row group of
     * `rel`'s files. Chunks merge in parquet's own order on their stored
-    * values, which are decoded once at the end.
+    * values, which are decoded once at the end. Each footer is read with
+    * options built from the relation's Hadoop conf: parquet's default
+    * options would build a fresh `Configuration`, parsing Hadoop's default
+    * resources, for every file.
     */
   private def footers(rel: HadoopFsRelation, leaves: Seq[Leaf]): (Long, Map[String, ColStats]) = {
     val conf = rel.sparkSession.sessionState.newHadoopConfWithOptions(rel.options)
@@ -127,7 +132,8 @@ object ParquetStats {
     }
 
     for (file <- rel.location.inputFiles) {
-      val reader = ParquetFileReader.open(HadoopInputFile.fromPath(new Path(new URI(file)), conf))
+      val path = new Path(new URI(file))
+      val reader = ParquetFileReader.open(HadoopInputFile.fromPath(path, conf), HadoopReadOptions.builder(conf, path).build())
       val footer = try reader.getFooter finally reader.close()
       val meta = footer.getFileMetaData.getKeyValueMetaData
       val rebased = DataSourceUtils.datetimeRebaseSpec(k => meta.get(k), rebaseMode).mode == LegacyBehaviorPolicy.LEGACY

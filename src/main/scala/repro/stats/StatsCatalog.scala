@@ -51,11 +51,9 @@ final class StatsCatalog {
   def get(name: String): Option[DatasetStats] = cache.get(name)
   def names: Set[String] = cache.keySet.toSet
 
-  /** Take and register stats for `df`: from its parquet footers when they
-    * are exact, else with one aggregation.
-    */
+  /** Take and register stats for `df`, as [[StatsCatalog.ofFlat]] takes them. */
   def ingest(name: String, df: DataFrame): DatasetStats = {
-    val s = ParquetStats.of(df).getOrElse(StatsCatalog.compute(df))
+    val s = StatsCatalog.ofFlat(StatsCatalog.flatten(df))
     put(name, s)
     s
   }
@@ -103,17 +101,23 @@ object StatsCatalog {
     case other => throw new IllegalArgumentException(s"non-numeric stat value $other")
   }
 
+  /** Stats of a frame that [[flatten]] returned: from its parquet footers
+    * when they are exact, else with one aggregation ([[compute]]).
+    */
+  private[repro] def ofFlat(flat: DataFrame): DatasetStats = ParquetStats.ofFlat(flat).getOrElse(aggregate(flat))
+
   /** One-pass min/max/count over every orderable scalar leaf of `df`; its
     * Spark jobs are described `stats: compute`.
     */
-  def compute(df: DataFrame): DatasetStats = {
-    val flat = flatten(df)
+  def compute(df: DataFrame): DatasetStats = aggregate(flatten(df))
+
+  private def aggregate(flat: DataFrame): DatasetStats = {
     val aggs = flat.schema.fields.toSeq.flatMap { f =>
       if (hasStats(f.dataType)) Seq(min(qcol(f.name)).as(s"min::${f.name}"), max(qcol(f.name)).as(s"max::${f.name}"))
       else Seq.empty
     } :+ count(lit(1)).as("cnt::")
 
-    val row = Jobs.described(df.sparkSession, "stats: compute")(flat.agg(aggs.head, aggs.tail: _*).collect()(0))
+    val row = Jobs.described(flat.sparkSession, "stats: compute")(flat.agg(aggs.head, aggs.tail: _*).collect()(0))
     val byName = row.schema.fieldNames.zipWithIndex.toMap
     val rowCount = row.getLong(byName("cnt::"))
 

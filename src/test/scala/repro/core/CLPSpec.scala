@@ -1,8 +1,8 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame, Row}
+import org.apache.spark.sql.{Column, DataFrame, ExpressionColumns, Row}
 import org.apache.spark.sql.catalyst.{CatalystTypeConverters, InternalRow}
-import org.apache.spark.sql.catalyst.expressions.{Cast, UnsafeProjection}
+import org.apache.spark.sql.catalyst.expressions.{Cast, CollationAwareXxHash64, UnsafeProjection}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
 import org.scalacheck.{Gen, Prop, Test}
@@ -82,6 +82,25 @@ class CLPSpec extends SparkSpec {
     val noisy = Transformations.noise(li, "l_extendedprice", lo, hi, rho = 0.35, inRange = true, seed = 3).cache()
     // With s·t large the detection probability 1−(1−ρ)^{s·t} ≈ 1.
     assert(check(li, noisy, CLPConfig(s = 8, t = 50, seed = 4)))
+  }
+
+  // Table 6 reads its sweep as monotone: probe j's rows for a larger t
+  // extend its rows for a smaller one, and the first s search columns are a
+  // prefix of the first s' > s. So a larger budget never keeps an edge that
+  // a smaller one pruned.
+  test("pruned sets are nested in s and t: a larger budget never keeps an edge a smaller one pruned") {
+    val stats = StatsCatalog.compute(li)
+    val NumStats(lo, hi) = stats.cols("l_extendedprice").asInstanceOf[NumStats]
+    val noisy = (1 to 6).map(i => s"noisy$i" ->
+      Transformations.noise(li, "l_extendedprice", lo, hi, rho = 0.05 * i, inRange = true, seed = 20 + i).cache())
+    val dfs = (noisy :+ ("p" -> li)).toMap
+    val g = ContainmentGraph(dfs.keys, noisy.map { case (n, _) => Edge("p", n) })
+    val grid = for (s <- Seq(1, 2, 4, 8); t <- Seq(1, 2, 5, 20)) yield (s, t)
+    val pruned = grid.map(st => st -> CLP.prune(g, dfs(_), n => sch(dfs(n)), CLPConfig(s = st._1, t = st._2, seed = 5)).pruned).toMap
+    for ((a, pa) <- pruned; (b, pb) <- pruned if a._1 <= b._1 && a._2 <= b._2)
+      assert(pa.subsetOf(pb), s"$a pruned ${pa -- pb} that $b kept")
+    // The grid's corners differ, so the nesting is not vacuous.
+    assert(pruned((1, 1)).size < pruned((8, 20)).size, pruned)
   }
 
   test("prune over a graph removes only refuted edges and counts probes") {
@@ -215,8 +234,8 @@ class CLPSpec extends SparkSpec {
     val res = CLP.prune(g, dfs(_), n => sch(dfs(n)), CLPConfig(s = 2, t = 5))
     assert(res.pruned == Set(Edge("shift", "c")))
     assert(res.graph.edges == Set(Edge("keep", "c")))
-    // One pass for the pivots and one for the rows, shared by both edges.
-    assert(scans.value == 2)
+    // One pass draws the sample that both edges share.
+    assert(scans.value == 1)
   }
 
   test("a UTF8_LCASE child 'A' under a parent 'a' is kept: collated strings hash by their collation key") {
@@ -406,60 +425,50 @@ class CLPSpec extends SparkSpec {
     assert(crossCases >= 40 && crossed == crossNames && verdicts == Set(true, false), (crossCases, crossNames -- crossed, verdicts))
   }
 
-  // The DataFrame formulation of phase (a) that CLP ran before it planned
-  // each dataset once, kept as the oracle its plans must match; phase (b)'s
-  // oracle is the null-safe join below.
+  // Phase (a) as DataFrame queries, the oracle the planned pass must match;
+  // phase (b)'s oracle is the null-safe join below.
 
-  /** Phase (a) as DataFrame queries: one for every probe's pivot, one for every probe's rows. */
-  private def oracleSample(child: String, df: DataFrame, common: Seq[String], cfg: CLPConfig): CLP.Sample = {
+  /** `CollationAwareXxHash64` of `cs` with seed 42, as a column: values
+    * equal under their collation hash alike.
+    */
+  private def valueHash(cs: Seq[Column]): Column =
+    ExpressionColumns.column(CollationAwareXxHash64(cs.map(ExpressionColumns.expression), 42L))
+
+  /** Phase (a) as DataFrame queries, per probe: the least value hash over
+    * the search column's non-null values, then the ≤ `t` smallest distinct
+    * salted hashes among the rows holding it. Each salted hash stands for
+    * the class of rows that have it, as (content hash, [[rowBits]]) pairs:
+    * the planned pass keeps one row of each class, which one depending on
+    * the order it reads them. Unequal rows can share a salted hash: -0.0
+    * hashes as 0.0, and a null and an empty array both leave the hash as it
+    * was.
+    */
+  private def oracleSample(child: String, df: DataFrame, common: Seq[String], cfg: CLPConfig): Seq[Seq[Set[(Long, Seq[Byte])]]] = {
     val cols: Seq[Column] = common.map(qcol)
     val schema = df.select(cols: _*).schema
-    val toCatalyst = CatalystTypeConverters.createToCatalystConverter(schema)
     val rng = new scala.util.Random(cfg.seed ^ child.hashCode.toLong)
     val scalar = common.filter(c => df.schema(c).dataType match {
       case _: ArrayType | _: MapType | _: StructType => false
       case _                                         => true
     })
     val search = rng.shuffle(scalar).take(math.max(1, cfg.s))
-    val k = search.size
-    if (k == 0) return CLP.Sample(common, schema, Nil)
-    val salted = search.indices.map(j => xxhash64(Seq(lit(cfg.seed), lit(child), lit(j)) ++ cols: _*))
-
-    val pivotCols = search.indices.flatMap(j => Seq(when(qcol(search(j)).isNotNull, salted(j)), qcol(search(j))))
-    val minima = df.select(pivotCols: _*).rdd.mapPartitions { it =>
-      val best = Array.fill[Option[(Long, Any)]](k)(None)
-      it.foreach { r =>
-        for (j <- 0 until k if !r.isNullAt(2 * j)) {
-          val h = r.getLong(2 * j)
-          if (best(j).forall(_._1 > h)) best(j) = Some(h -> r.get(2 * j + 1))
-        }
+    search.indices.map { j =>
+      val salt = Seq(lit(cfg.seed), lit(child), lit(j))
+      val hashed = df.select(Seq(
+        when(qcol(search(j)).isNotNull, valueHash(salt :+ qcol(search(j)))).as("__value"),
+        xxhash64(salt ++ cols: _*).as("__salted"),
+        xxhash64(cols: _*).as("__content"),
+      ) ++ cols: _*)
+      val least = hashed.agg(min("__value")).head().get(0)
+      if (least == null) Seq.empty
+      else {
+        val held = hashed.where(col("__value") === least)
+        val salted = held.select("__salted").distinct().orderBy("__salted").limit(cfg.t).collect().map(_.getLong(0))
+        held.where(col("__salted").isin(salted: _*)).collect().toSeq.groupMap(_.getLong(1)) { r =>
+          r.getLong(2) -> rowBits(schema, Row.fromSeq(r.toSeq.drop(3)))
+        }.values.map(_.toSet).toSeq
       }
-      Iterator.single(best)
-    }.collect()
-    val pivots = (0 until k).map(j => minima.flatMap(_(j)).minByOption(_._1).map(_._2))
-    if (pivots.forall(_.isEmpty)) return CLP.Sample(common, schema, Nil)
-
-    val t = cfg.t
-    val hit = search.indices.map(j => pivots(j).fold(lit(false))(p => coalesce(qcol(search(j)) === lit(p), lit(false))))
-    val tops = df.select((hit ++ salted :+ xxhash64(cols: _*)) ++ cols: _*).where(hit.reduce(_ || _))
-      .rdd.mapPartitions { it =>
-        val best = Array.fill(k)(new java.util.TreeMap[Long, (Long, Row)]())
-        it.foreach { r =>
-          for (j <- 0 until k if r.getBoolean(j)) {
-            val h = r.getLong(k + j)
-            val top = best(j)
-            if (top.size < t || h < top.lastKey) {
-              top.put(h, (r.getLong(2 * k), Row.fromSeq(r.toSeq.drop(2 * k + 1))))
-              if (top.size > t) top.pollLastEntry()
-            }
-          }
-        }
-        best.iterator.zipWithIndex.flatMap { case (top, j) => top.asScala.iterator.map { case (h, row) => (j, h, row) } }
-      }.collect()
-    val probes = (0 until k).map { j =>
-      tops.filter(_._1 == j).sortBy(_._2).distinctBy(_._2).take(t).map { case (_, _, (c, row)) => c -> toCatalyst(row).asInstanceOf[InternalRow] }.toMap
     }
-    CLP.Sample(common, schema, probes)
   }
 
   /** Phase (b) as one null-safe left-semi join per sample: the content
@@ -508,13 +517,12 @@ class CLPSpec extends SparkSpec {
       cp <=> p && cp.try_cast(CLP.nullable(ct)) <=> c
     } else c.isNull && p.isNull
 
-  /** A sample as data that compares bit for bit: each probe's content hashes,
-    * with each row's value bytes, so -0.0 and 0.0 differ. NaNs compare in one
-    * pattern: the oracle returned its rows as Java-serialized task results,
-    * which write every NaN canonically, and no Spark comparison tells NaN
-    * patterns apart.
+  /** A row of `schema` as bytes that compare bit for bit, so -0.0 and 0.0
+    * differ. NaNs compare in one pattern: the oracle collects its rows as
+    * Java-serialized task results, which write every NaN canonically, and
+    * no Spark comparison tells NaN patterns apart.
     */
-  private def bits(s: CLP.Sample): Seq[Seq[(Long, Seq[Byte])]] = {
+  private def rowBits(schema: StructType, r: Row): Seq[Byte] = {
     def canonical(v: Any): Any = v match {
       case d: Double if d.isNaN => Double.NaN
       case f: Float if f.isNaN  => Float.NaN
@@ -522,11 +530,19 @@ class CLPSpec extends SparkSpec {
       case r: Row               => Row.fromSeq(r.toSeq.map(canonical))
       case _                    => v
     }
-    val (toRow, toCatalyst) = (CatalystTypeConverters.createToScalaConverter(s.schema), CatalystTypeConverters.createToCatalystConverter(s.schema))
-    val unsafe = UnsafeProjection.create(s.schema)
-    s.probes.map(_.toSeq.sortBy(_._1).map { case (h, r) =>
-      h -> unsafe(toCatalyst(canonical(toRow(r))).asInstanceOf[InternalRow]).getBytes.toSeq
-    })
+    val toCatalyst = CatalystTypeConverters.createToCatalystConverter(schema)
+    UnsafeProjection.create(schema)(toCatalyst(canonical(r)).asInstanceOf[InternalRow]).getBytes.toSeq
+  }
+
+  /** Does `s` draw, in each probe, exactly one row of each class the oracle
+    * gives for it, bit for bit and under its content hash, and no other row?
+    */
+  private def draws(s: CLP.Sample, oracle: Seq[Seq[Set[(Long, Seq[Byte])]]]): Boolean = {
+    val toRow = CatalystTypeConverters.createToScalaConverter(s.schema)
+    val drawn = s.probes.map(_.toSeq.map { case (h, r) => h -> rowBits(s.schema, toRow(r).asInstanceOf[Row]) })
+    drawn.size == oracle.size && drawn.zip(oracle).forall { case (got, classes) =>
+      got.size == classes.size && classes.forall(c => got.count(c) == 1)
+    }
   }
 
   private val lcasePool: (DataType, Seq[Any]) = StringType("UTF8_LCASE") -> Seq("a", "A", "b", "\uD83D\uDE00", "")
@@ -554,8 +570,8 @@ class CLPSpec extends SparkSpec {
       val common = sch(child).tokens.toSeq.sorted
       val (expected, actual) = (oracleSample("c", child, common, cfg), sampled(child, common, cfg))
       seen += shape
-      val same = bits(actual) == bits(expected) &&
-        CLP.foundHashes(Seq(new CLP.Plan(parent, common) -> actual)) == oracleFound(parent, Seq(expected))
+      val same = draws(actual, expected) &&
+        CLP.foundHashes(Seq(new CLP.Plan(parent, common) -> actual)) == oracleFound(parent, Seq(actual))
       // Spark's cache manager serves a new frame from an earlier cached one
       // whose rows are equal as values, two NaN patterns included; dropping
       // each case's frames keeps every case reading its own rows.
@@ -574,8 +590,15 @@ class CLPSpec extends SparkSpec {
     val drawn = (0L until 8L).map { seed =>
       val cfg = CLPConfig(s = 2, t = 10, seed = seed)
       val (expected, actual) = (oracleSample("c", child, Seq("n", "s"), cfg), sampled(child, Seq("n", "s"), cfg))
-      assert(bits(actual) == bits(expected), s"seed $seed")
-      actual.probes.map(_.values.map(_.getUTF8String(1).toString).toSet)
+      assert(draws(actual, expected), s"seed $seed")
+      val probes = actual.probes.map(_.values.map(r => r.getInt(0) -> r.getUTF8String(1).toString).toSet)
+      // A probe that draws two rows searched `s`: it drew every row equal
+      // to its pivot under the collation, as `===` finds them.
+      for (p <- probes if p.size > 1) {
+        val equal = child.where(col("s") === lit(p.head._2)).collect().map(r => r.getInt(0) -> r.getString(1)).toSet
+        assert(p == equal, s"seed $seed")
+      }
+      probes.map(_.map(_._2))
     }
     // Some probe's pivot is "a" or "b" in one case and draws the other case too.
     assert(drawn.flatten.exists(vs => vs.size > 1 && vs.map(_.toLowerCase).size == 1), drawn)
@@ -595,7 +618,7 @@ class CLPSpec extends SparkSpec {
     val groups = lakeEdges.map(_.child).distinct.map(c => c -> sch(lake(c)).tokens.toSeq.sorted)
     val plans = lake.map { case (n, df) => n -> new CLP.Plan(df, df.columns.toSeq.sorted) }
     val samples = groups.zip(CLP.sample(groups, plans, cfg)).toMap
-    groups.foreach { case g @ (c, common) => assert(bits(samples(g)) == bits(oracleSample(c, lake(c), common, cfg)), c) }
+    groups.foreach { case g @ (c, common) => assert(draws(samples(g), oracleSample(c, lake(c), common, cfg)), c) }
     val scans = lakeEdges.map(e => (plans(e.parent), samples(groups.find(_._1 == e.child).get)))
     val found = CLP.foundHashes(scans)
     lakeEdges.zip(scans).zip(found).foreach { case ((e, (_, s)), hit) =>
@@ -603,16 +626,16 @@ class CLPSpec extends SparkSpec {
     }
   }
 
-  test("3 CLP jobs for any number of children and parents: 2 to sample, 1 to scan, none confirming") {
+  test("2 CLP jobs for any number of children and parents: 1 to sample, 1 to scan") {
     Seq(Seq(Edge("p", "bad")), lakeEdges).foreach { edges =>
       val g = ContainmentGraph(lake.keys, edges)
       val (res, jobs) = jobDescriptions(CLP.prune(g, lake(_), n => sch(lake(n)), CLPConfig(s = 2, t = 5)))
       assert(res.pruned.contains(Edge("p", "bad")) && !res.pruned.contains(Edge("p", "filt")))
-      assert(jobs == Seq("clp: sample", "clp: sample", "clp: scan"), jobs)
+      assert(jobs == Seq("clp: sample", "clp: scan"), jobs)
     }
   }
 
-  test("3 CLP jobs decide same-typed and cross-typed edges alike: int vs long, UTF8_LCASE and decimal scales") {
+  test("2 CLP jobs decide same-typed and cross-typed edges alike: int vs long, UTF8_LCASE and decimal scales") {
     val parent = spark.range(10).select(
       col("id"),
       (col("id") * 2).as("twice"),
@@ -632,7 +655,7 @@ class CLPSpec extends SparkSpec {
     val g = ContainmentGraph(dfs.keys, (dfs.keySet - "p").toSeq.map(Edge("p", _)))
     val (res, jobs) = jobDescriptions(CLP.prune(g, dfs(_), n => sch(dfs(n)), CLPConfig(s = 2, t = 10)))
     assert(res.pruned == Set("same", "int", "rounded").map(Edge("p", _)))
-    assert(jobs == Seq("clp: sample", "clp: sample", "clp: scan"), jobs)
+    assert(jobs == Seq("clp: sample", "clp: scan"), jobs)
   }
 
   // The cast runs in the session time zone, as the analyzer's try_cast does.

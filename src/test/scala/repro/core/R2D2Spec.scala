@@ -4,6 +4,7 @@ import org.apache.spark.sql.functions._
 
 import repro.{SparkSpec, SynthData}
 import repro.stats.{ParquetStats, StatsCatalog}
+import repro.util.Par
 
 /** The user-facing facade: hand it named DataFrames, get a containment graph. */
 class R2D2Spec extends SparkSpec {
@@ -51,6 +52,40 @@ class R2D2Spec extends SparkSpec {
     val r = R2D2.run(Seq("n" -> nested, "m" -> nested.limit(10)))
     assert(r.schemas("n").tokens == Set("s.k", "v"))
     assert(r.containmentGraph.edges.contains(Edge("n", "m")))
+  }
+
+  // Ingest takes the datasets' stats concurrently: more datasets than the
+  // pool has threads, over the footer path (plain parquet reads) and the
+  // aggregate path (filtered reads and in-memory frames, one nested).
+  test("concurrent ingest over more datasets than Par.Threads gives each dataset its sequential stats, frame and schema") {
+    val dirs = (0 until 4).map { i =>
+      parquetDir(spark.range(40).select(col("id"), (col("id") * (i + 1)).as("v"), (col("id") % 3).cast("string").as("s")), 1 + i % 2)
+    }
+    val footer = dirs.zipWithIndex.map { case (d, i) => s"file$i" -> spark.read.parquet(d) }
+    val filtered = dirs.zipWithIndex.map { case (d, i) => s"where$i" -> spark.read.parquet(d).where(col("id") < 10 * (i + 1)) }
+    val inMemory = (0 until 4).map { i =>
+      s"mem$i" -> spark.range(30).select(col("id"), struct((col("id") * (i + 1)).as("k")).as("nest"), (col("id") % 4).as("v"))
+    }
+    val lake = footer ++ filtered ++ inMemory
+    assert(lake.size > Par.Threads)
+
+    val (r, jobs) = jobDescriptions(R2D2.run(lake))
+    val names = lake.map(_._1).toSet
+    assert(r.dfs.keySet == names && r.schemas.keySet == names && r.catalog.names == names)
+    for ((n, df) <- lake) {
+      val flat = StatsCatalog.flatten(df)
+      assert(r.catalog(n) == StatsCatalog.compute(df), n)
+      assert(r.schemas(n) == SchemaSet.fromStruct(df.schema), n)
+      assert(r.dfs(n).schema == flat.schema, n)
+      assert(r.dfs(n).collect().toSet == flat.collect().toSet, n)
+    }
+    // The aggregate path runs the jobs a sequential compute runs, each
+    // described `stats: compute`; the footer path runs none.
+    val (_, sequential) = jobDescriptions((filtered ++ inMemory).foreach { case (_, df) => StatsCatalog.compute(df) })
+    val statsJobs = jobs.filterNot(_.startsWith("clp: "))
+    assert(statsJobs.nonEmpty && statsJobs.forall(_ == "stats: compute") && statsJobs.size == sequential.size, (jobs, sequential))
+    val (_, footerJobs) = jobDescriptions(R2D2.run(footer))
+    assert(footerJobs.forall(_.startsWith("clp: ")), footerJobs)
   }
 
   /** The type matrix: nested structs, arrays, a map `m`, binary, decimals,
