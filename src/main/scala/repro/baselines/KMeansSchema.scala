@@ -85,12 +85,7 @@ object KMeansSchema {
     val edges = Set.newBuilder[Edge]
     for (c <- 0 until k) {
       val members = datasets.indices.filter(assign(_) == c)
-      for (ai <- members; bi <- members if ai < bi) {
-        val (na, sa) = datasets(ai)
-        val (nb, sb) = datasets(bi)
-        if (sb.subsetOf(sa)) edges += Edge(na, nb)
-        if (sa.subsetOf(sb)) edges += Edge(nb, na)
-      }
+      for (ai <- members; bi <- members if ai < bi) edges ++= SchemaSet.edges(datasets(ai), datasets(bi))
     }
     val g = ContainmentGraph(datasets.map(_._1), edges.result())
     val found = gtSchema.edges.count(g.edges.contains)

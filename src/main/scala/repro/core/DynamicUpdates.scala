@@ -42,10 +42,12 @@ object DynamicUpdates {
     CLP.prune(mmp.graph, st.dfs(_), st.schemas(_), cfg).graph.edges
   }
 
-  /** Flatten `df`, register its stats and schema as dataset `name`. */
+  /** Ingest `df` as dataset `name` into a copy of the state's catalog, as
+    * [[R2D2.run]] ingests, and register its frame and schema.
+    */
   private def put(st: R2D2State, name: String, df: DataFrame): R2D2State = {
     val catalog = st.catalog.copy()
-    val flat = R2D2.ingest(catalog, name, df)
+    val flat = catalog.ingest(name, df)
     st.copy(
       dfs = st.dfs + (name -> flat),
       schemas = st.schemas + (name -> SchemaSet.fromStruct(flat.schema)),
@@ -60,12 +62,8 @@ object DynamicUpdates {
     * state and the number of datasets examined.
     */
   private def relink(st: R2D2State, x: String, cfg: CLPConfig, holds: Edge => Boolean): (R2D2State, Long) = {
-    val sx = st.schemas(x)
-    val others = st.schemas.keys.filter(_ != x)
-    val candidates = others.flatMap { o =>
-      val so = st.schemas(o)
-      (if (sx.subsetOf(so)) Seq(Edge(o, x)) else Nil) ++ (if (so.subsetOf(sx)) Seq(Edge(x, o)) else Nil)
-    }
+    val others = st.schemas.filter(_._1 != x)
+    val candidates = others.flatMap(SchemaSet.edges(_, x -> st.schemas(x)))
     val (kept, probe) = candidates.partition(e => st.graph.edges.contains(e) && holds(e))
     val rest = st.graph.edges.filterNot(e => e.parent == x || e.child == x)
     (st.copy(graph = st.graph.copy(edges = rest ++ kept ++ verify(st, probe, cfg))), others.size.toLong)

@@ -67,10 +67,7 @@ object GroundTruth {
     val edges = Set.newBuilder[Edge]
     for (i <- datasets.indices; j <- datasets.indices if i < j) {
       ops += 1
-      val (na, sa) = datasets(i)
-      val (nb, sb) = datasets(j)
-      if (sb.subsetOf(sa)) edges += Edge(na, nb)
-      if (sa.subsetOf(sb)) edges += Edge(nb, na)
+      edges ++= SchemaSet.edges(datasets(i), datasets(j))
     }
     (ContainmentGraph(datasets.map(_._1), edges.result()), ops)
   }

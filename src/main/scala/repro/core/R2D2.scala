@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 
-import repro.stats.{DatasetStats, StatsCatalog}
+import repro.stats.StatsCatalog
 import repro.util.Par
 
 /** Wall-clock milliseconds of each stage of one run. `pipelineMs` leaves out
@@ -38,8 +38,9 @@ final case class R2D2Run(
   * the child for CLP) — so recall is preserved end to end while the incorrect
   * edge count shrinks at every stage.
   *
-  * [[run]] is the only entry point of the whole pipeline. The §7.1 updates
-  * in [[DynamicUpdates]] reuse its [[ingest]] step and its MMP and CLP
+  * [[run]] is the only entry point of the whole pipeline. It ingests its
+  * datasets ([[StatsCatalog.ingest]]) concurrently over [[Par]]. The §7.1
+  * updates in [[DynamicUpdates]] reuse that ingest step and its MMP and CLP
   * stages; in place of SGB's clusters they take a changed dataset's
   * candidate edges from schema containment over all other datasets.
   */
@@ -53,33 +54,12 @@ object R2D2 {
 
   def run(datasets: Seq[(String, DataFrame)], clpCfg: CLPConfig = CLPConfig()): R2D2Run = {
     val catalog = new StatsCatalog
-    val (flat, ingestMs) = timed {
-      val taken = Par.map(datasets) { case (n, df) => n -> flatStats(df) }
-      taken.map { case (n, (flat, stats)) => catalog.put(n, stats); n -> flat }
-    }
+    val (flat, ingestMs) = timed(Par.map(datasets) { case (n, df) => n -> catalog.ingest(n, df) })
     val schemas = flat.map { case (n, df) => n -> SchemaSet.fromStruct(df.schema) }
     val dfs = flat.toMap
     val (sgb, sgbMs) = timed(SGB.build(schemas))
     val (mmp, mmpMs) = timed(MMP.prune(sgb.graph, catalog(_)))
     val (clp, clpMs) = timed(CLP.prune(mmp.graph, dfs(_), schemas.toMap, clpCfg))
     R2D2Run(dfs, schemas.toMap, catalog, sgb, mmp, clp, StageTimings(ingestMs, sgbMs, mmpMs, clpMs))
-  }
-
-  /** §4.1 step 1 for one dataset: flatten it and register its stats under
-    * `name`. Returns the flattened frame, which every later stage reads.
-    */
-  def ingest(catalog: StatsCatalog, name: String, df: DataFrame): DataFrame = {
-    val (flat, stats) = flatStats(df)
-    catalog.put(name, stats)
-    flat
-  }
-
-  /** `df` flattened once, and the stats of the flattened frame. [[run]]
-    * takes them for its datasets concurrently over [[Par]], then registers
-    * them in input order on its own thread: the catalog is a plain map.
-    */
-  private def flatStats(df: DataFrame): (DataFrame, DatasetStats) = {
-    val flat = StatsCatalog.flatten(df)
-    (flat, StatsCatalog.ofFlat(flat))
   }
 }

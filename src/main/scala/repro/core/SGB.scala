@@ -79,11 +79,8 @@ object SGB {
     for (c <- clusters) {
       val ms = c.members
       for (ai <- ms.indices; bi <- ms.indices if ai < bi) {
-        val a = ms(ai); val b = ms(bi)
         pairChecks += 1
-        val (sa, sb) = (schemas(a), schemas(b))
-        if (sb.subsetOf(sa)) edges += Edge(names(a), names(b))
-        if (sa.subsetOf(sb)) edges += Edge(names(b), names(a))
+        edges ++= SchemaSet.edges(datasets(ms(ai)), datasets(ms(bi)))
       }
     }
 

@@ -21,6 +21,12 @@ final case class SchemaSet(tokens: Set[String]) {
 object SchemaSet {
   def apply(tokens: Iterable[String]): SchemaSet = SchemaSet(tokens.toSet)
 
+  /** The schema-containment edges between two named schemas: a → b when b's
+    * schema is contained in a's, b → a when a's is in b's (both when equal).
+    */
+  def edges(a: (String, SchemaSet), b: (String, SchemaSet)): Seq[Edge] =
+    (if (b._2.subsetOf(a._2)) Seq(Edge(a._1, b._1)) else Nil) ++ (if (a._2.subsetOf(b._2)) Seq(Edge(b._1, a._1)) else Nil)
+
   /** The one schema flattener (§4.1 step 1): each leaf's dotted token and
     * the column that projects it out of a frame of this schema.
     *

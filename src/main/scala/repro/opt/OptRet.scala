@@ -60,8 +60,8 @@ object OptRet {
     for (comp <- graph.weakComponents) {
       val sub = comp.toSeq.sorted
       val sol =
-        if (sub.size <= bbLimit) branchAndBound(p, sub.map(nodeByName), parentEdges, comp)
-        else greedy(p, sub.map(nodeByName), parentEdges, comp)
+        if (sub.size <= bbLimit) branchAndBound(p, sub.map(nodeByName), parentEdges)
+        else greedy(p, sub.map(nodeByName), parentEdges)
       retained ++= sol.retained
       via ++= sol.reconstructVia
       total += sol.cost
@@ -74,7 +74,6 @@ object OptRet {
       p: OptProblem,
       nodes: Seq[OptNode],
       parentEdges: Map[String, Seq[OptEdge]],
-      comp: Set[String],
       retainedSet: Set[String],
   ): Option[(Double, Map[String, OptEdge])] = {
     var cost = 0.0
@@ -82,7 +81,7 @@ object OptRet {
     for (v <- nodes) {
       if (retainedSet(v.name)) cost += p.retentionCost(v)
       else {
-        val usable = parentEdges(v.name).filter(e => comp(e.parent) && retainedSet(e.parent))
+        val usable = parentEdges(v.name).filter(e => retainedSet(e.parent))
         if (usable.isEmpty) return None
         val best = usable.minBy(_.reconCost)
         via += v.name -> best
@@ -95,12 +94,11 @@ object OptRet {
   /** Exhaustive reference (tests only; 2^N). */
   def bruteForce(p: OptProblem): OptSolution = {
     val parentEdges = p.edges.groupBy(_.child).withDefaultValue(Seq.empty[OptEdge])
-    val comp = p.nodes.map(_.name).toSet
     require(p.nodes.size <= 20, "brute force limited to 20 nodes")
     var best: Option[OptSolution] = None
     for (mask <- 0 until (1 << p.nodes.size)) {
       val retained = p.nodes.zipWithIndex.collect { case (n, i) if (mask & (1 << i)) != 0 => n.name }.toSet
-      evaluate(p, p.nodes, parentEdges, comp, retained).foreach { case (cost, via) =>
+      evaluate(p, p.nodes, parentEdges, retained).foreach { case (cost, via) =>
         if (best.forall(_.cost > cost)) best = Some(OptSolution(retained, via, cost))
       }
     }
@@ -111,12 +109,11 @@ object OptRet {
       p: OptProblem,
       nodes: Seq[OptNode],
       parentEdges: Map[String, Seq[OptEdge]],
-      comp: Set[String],
   ): OptSolution = {
     val n = nodes.size
     // Optimistic per-node bound: min(retain, best-possible deletion).
     val optimistic = nodes.map { v =>
-      val es = parentEdges(v.name).filter(e => comp(e.parent))
+      val es = parentEdges(v.name)
       val bestDel = if (es.isEmpty) Double.PositiveInfinity else es.map(p.deletionCost(v, _)).min
       math.min(p.retentionCost(v), bestDel)
     }.toArray
@@ -130,7 +127,7 @@ object OptRet {
 
     def leafCost(): Option[(Double, Map[String, OptEdge])] = {
       val retained = nodes.zipWithIndex.collect { case (v, i) if state(i) => v.name }.toSet
-      evaluate(p, nodes, parentEdges, comp, retained)
+      evaluate(p, nodes, parentEdges, retained)
     }
 
     def rec(i: Int, partial: Double): Unit = {
@@ -155,7 +152,7 @@ object OptRet {
       }
     }
     rec(0, 0.0)
-    val (cost, via) = evaluate(p, nodes, parentEdges, comp, bestSet)
+    val (cost, via) = evaluate(p, nodes, parentEdges, bestSet)
       .getOrElse(throw new IllegalStateException("B&B produced infeasible best"))
     OptSolution(bestSet, via, cost)
   }
@@ -167,7 +164,6 @@ object OptRet {
       p: OptProblem,
       nodes: Seq[OptNode],
       parentEdges: Map[String, Seq[OptEdge]],
-      comp: Set[String],
   ): OptSolution = {
     var retained = nodes.map(_.name).toSet
     var improved = true
@@ -175,15 +171,15 @@ object OptRet {
       improved = false
       val candidates = nodes.filter(v => retained(v.name)).flatMap { v =>
         val without = retained - v.name
-        evaluate(p, nodes, parentEdges, comp, without).map { case (cost, _) => (v.name, cost) }
+        evaluate(p, nodes, parentEdges, without).map { case (cost, _) => (v.name, cost) }
       }
-      val cur = evaluate(p, nodes, parentEdges, comp, retained).get._1
+      val cur = evaluate(p, nodes, parentEdges, retained).get._1
       candidates.sortBy(_._2).headOption.filter(_._2 < cur - 1e-12).foreach { case (name, _) =>
         retained -= name
         improved = true
       }
     }
-    val (cost, via) = evaluate(p, nodes, parentEdges, comp, retained).get
+    val (cost, via) = evaluate(p, nodes, parentEdges, retained).get
     OptSolution(retained, via, cost)
   }
 }

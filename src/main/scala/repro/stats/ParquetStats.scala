@@ -45,17 +45,15 @@ object ParquetStats {
     */
   private final case class Leaf(token: String, path: Seq[String], dataType: DataType)
 
-  /** `df`'s stats from its parquet footers, or `None` when they would not be
-    * exact: unless `df`, flattened, only projects columns and struct fields
-    * out of one unpartitioned parquet relation. A filtered frame's files hold
-    * rows the frame does not, so their range is wider than the frame's, and a
-    * child range that is too wide can prune a true edge. `sizeBytes` is the
-    * catalog's estimate, as [[StatsCatalog.compute]] gives it.
+  /** The stats of `flat`, a frame that [[StatsCatalog.flatten]] returned,
+    * from its parquet footers, or `None` when they would not be exact: unless
+    * `flat` only projects columns and struct fields out of one unpartitioned
+    * parquet relation. A filtered frame's files hold rows the frame does not,
+    * so their range is wider than the frame's, and a child range that is too
+    * wide can prune a true edge. `sizeBytes` is the catalog's estimate, as
+    * [[StatsCatalog.compute]] gives it.
     */
-  def of(df: DataFrame): Option[DatasetStats] = ofFlat(StatsCatalog.flatten(df))
-
-  /** [[of]] for a frame that [[StatsCatalog.flatten]] returned. */
-  private[stats] def ofFlat(flat: DataFrame): Option[DatasetStats] =
+  def of(flat: DataFrame): Option[DatasetStats] =
     scan(flat.queryExecution.analyzed).map { case (rel, leaves) =>
       val (rows, cols) = footers(rel, leaves)
       DatasetStats(rows, rows * flat.schema.defaultSize, cols)

@@ -43,7 +43,7 @@ final case class DatasetStats(rowCount: Long, sizeBytes: Long, cols: Map[String,
   * aggregation over its rows ([[StatsCatalog.compute]]).
   */
 final class StatsCatalog {
-  private val cache = scala.collection.mutable.Map.empty[String, DatasetStats]
+  private val cache = scala.collection.concurrent.TrieMap.empty[String, DatasetStats]
 
   def put(name: String, stats: DatasetStats): Unit = cache(name) = stats
   def apply(name: String): DatasetStats =
@@ -51,11 +51,15 @@ final class StatsCatalog {
   def get(name: String): Option[DatasetStats] = cache.get(name)
   def names: Set[String] = cache.keySet.toSet
 
-  /** Take and register stats for `df`, as [[StatsCatalog.ofFlat]] takes them. */
-  def ingest(name: String, df: DataFrame): DatasetStats = {
-    val s = StatsCatalog.ofFlat(StatsCatalog.flatten(df))
-    put(name, s)
-    s
+  /** §4.1 step 1 for one dataset: flatten `df` once, take the flattened
+    * frame's stats (from its parquet footers when they are exact, else with
+    * one aggregation) and register them under `name`. Returns the flattened
+    * frame, which every later stage reads. Safe to call from several threads.
+    */
+  def ingest(name: String, df: DataFrame): DataFrame = {
+    val flat = StatsCatalog.flatten(df)
+    put(name, ParquetStats.of(flat).getOrElse(StatsCatalog.aggregate(flat)))
+    flat
   }
 
   def remove(name: String): Unit = cache.remove(name)
@@ -89,28 +93,27 @@ object StatsCatalog {
   }
 
   /** The canonical form of a non-string min or max, as Spark's `collect`
-    * returns it: dates become epoch days, timestamps epoch millis
-    * (`Timestamp.getTime`, which floors), booleans 0/1.
+    * returns it with or without the `java.time` API: dates become epoch
+    * days, timestamps epoch millis (`Timestamp.getTime` and
+    * `Instant.toEpochMilli`, which both floor), booleans 0/1.
     */
   private[stats] def canonical(v: Any): Double = v match {
     case d: java.sql.Date         => d.toLocalDate.toEpochDay.toDouble
+    case d: java.time.LocalDate   => d.toEpochDay.toDouble
     case t: java.sql.Timestamp    => t.getTime.toDouble
+    case t: java.time.Instant     => t.toEpochMilli.toDouble
     case b: Boolean               => if (b) 1.0 else 0.0
     case bd: java.math.BigDecimal => bd.doubleValue
     case n: Number                => n.doubleValue
     case other => throw new IllegalArgumentException(s"non-numeric stat value $other")
   }
 
-  /** Stats of a frame that [[flatten]] returned: from its parquet footers
-    * when they are exact, else with one aggregation ([[compute]]).
-    */
-  private[repro] def ofFlat(flat: DataFrame): DatasetStats = ParquetStats.ofFlat(flat).getOrElse(aggregate(flat))
-
   /** One-pass min/max/count over every orderable scalar leaf of `df`; its
     * Spark jobs are described `stats: compute`.
     */
   def compute(df: DataFrame): DatasetStats = aggregate(flatten(df))
 
+  /** [[compute]] for a frame that [[flatten]] returned. */
   private def aggregate(flat: DataFrame): DatasetStats = {
     val aggs = flat.schema.fields.toSeq.flatMap { f =>
       if (hasStats(f.dataType)) Seq(min(qcol(f.name)).as(s"min::${f.name}"), max(qcol(f.name)).as(s"max::${f.name}"))

@@ -132,7 +132,7 @@ class R2D2Spec extends SparkSpec {
     for (parts <- Seq(1, 4)) {
       val frames = Seq("p" -> matrixParent, "c" -> matrixChild).map { case (n, df) => n -> spark.read.parquet(parquetDir(df, parts)) }
       for ((n, df) <- frames) {
-        val footer = ParquetStats.of(df).getOrElse(fail(s"$n: a plain parquet read must take the footer path"))
+        val footer = ParquetStats.of(StatsCatalog.flatten(df)).getOrElse(fail(s"$n: a plain parquet read must take the footer path"))
         val computed = StatsCatalog.compute(df)
         assert(footer.rowCount == computed.rowCount && footer.sizeBytes == computed.sizeBytes)
         for ((c, got) <- footer.cols) assert(computed.cols.get(c).contains(got), s"$n/$parts files, $c: footer=$got computed=${computed.cols.get(c)}")

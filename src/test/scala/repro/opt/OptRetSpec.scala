@@ -48,8 +48,8 @@ class OptRetSpec extends AnyFunSuite {
     val edges = Seq(OptEdge("p", "c", 1.0))
     val p = OptProblem(nodes, edges, cm)
     val pe = edges.groupBy(_.child).withDefaultValue(Seq.empty[OptEdge])
-    assert(OptRet.evaluate(p, nodes, pe, Set("p", "c"), Set.empty).isEmpty)
-    assert(OptRet.evaluate(p, nodes, pe, Set("p", "c"), Set("p")).isDefined)
+    assert(OptRet.evaluate(p, nodes, pe, Set.empty).isEmpty)
+    assert(OptRet.evaluate(p, nodes, pe, Set("p")).isDefined)
   }
 
   test("duplicate node names are rejected") {
@@ -104,9 +104,8 @@ class OptRetSpec extends AnyFunSuite {
       } yield OptEdge(s"n$i", s"n$j", rng.nextDouble() * 100)).distinct
       val p = OptProblem(nodes, edges, cm)
       val opt = OptRet.bruteForce(p)
-      val comp = nodes.map(_.name).toSet
       val pe = edges.groupBy(_.child).withDefaultValue(Seq.empty[OptEdge])
-      val g = OptRet.greedy(p, p.nodes, pe, comp)
+      val g = OptRet.greedy(p, p.nodes, pe)
       assert(g.cost >= opt.cost - 1e-9)
       val deleted = nodes.map(_.name).filterNot(g.retained)
       deleted.foreach(d => assert(g.retained(g.reconstructVia(d).parent)))

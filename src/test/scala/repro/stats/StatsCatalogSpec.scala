@@ -102,8 +102,9 @@ class StatsCatalogSpec extends SparkSpec {
 
   test("catalog ingestion caches and serves by name") {
     val cat = new StatsCatalog
-    val s = cat.ingest("li", li)
-    assert(cat("li") == s)
+    val flat = cat.ingest("li", li)
+    assert(flat.schema == StatsCatalog.flatten(li).schema)
+    assert(cat("li") == StatsCatalog.compute(li))
     assert(cat.get("nope").isEmpty)
     intercept[NoSuchElementException](cat("nope"))
     cat.remove("li")
@@ -125,15 +126,15 @@ class StatsCatalogSpec extends SparkSpec {
 
   test("a plain or cached parquet read takes the footer path") {
     val df = spark.read.parquet(parentDir)
-    assert(ParquetStats.of(df).contains(StatsCatalog.compute(df)))
-    assert(ParquetStats.of(df.cache()).isDefined)
+    assert(ParquetStats.of(StatsCatalog.flatten(df)).contains(StatsCatalog.compute(df)))
+    assert(ParquetStats.of(StatsCatalog.flatten(df.cache())).isDefined)
     assert(ParquetStats.of(StatsCatalog.flatten(df.select(struct(col("id")).as("s"), col("v")))).isEmpty) // a derived struct
     df.unpersist()
   }
 
   test("a where child of parquet files takes the aggregate path and keeps its edge") {
     val child = spark.read.parquet(wideDir).where(col("id") < 50)
-    assert(ParquetStats.of(child).isEmpty)
+    assert(ParquetStats.of(StatsCatalog.flatten(child)).isEmpty)
     val parent = spark.read.parquet(parentDir)
     assert(R2D2.run(Seq("p" -> parent, "c" -> child)).containmentGraph.edges.contains(Edge("p", "c")))
   }
@@ -141,15 +142,35 @@ class StatsCatalogSpec extends SparkSpec {
   test("a union child of parquet reads takes the aggregate path and keeps its edge") {
     val lo = spark.read.parquet(parquetDir(spark.range(20).select(col("id"), (col("id") * 3).as("v"))))
     val child = lo.union(spark.read.parquet(wideDir).where(col("id").between(20, 49)))
-    assert(ParquetStats.of(child).isEmpty && ParquetStats.of(lo.union(lo)).isEmpty)
+    assert(ParquetStats.of(StatsCatalog.flatten(child)).isEmpty && ParquetStats.of(StatsCatalog.flatten(lo.union(lo))).isEmpty)
     val parent = spark.read.parquet(parentDir)
     assert(R2D2.run(Seq("p" -> parent, "c" -> child)).containmentGraph.edges.contains(Edge("p", "c")))
   }
 
   test("ingest of a plain parquet read runs no Spark job") {
     val df = spark.read.parquet(parquetDir(li, parts = 4))
-    val (s, jobs) = jobDescriptions(new StatsCatalog().ingest("li", df))
+    val cat = new StatsCatalog
+    val (_, jobs) = jobDescriptions(cat.ingest("li", df))
     assert(jobs.isEmpty, jobs)
-    assert(s.rowCount == li.count())
+    assert(cat("li").rowCount == li.count())
+  }
+
+  // With the java.time API on, `collect` returns LocalDate and Instant for
+  // dates and timestamps; an in-memory frame takes the aggregate path.
+  test("dates and pre-1970 sub-millisecond timestamps get the same stats with the java.time API, and keep p → p.where(..)") {
+    val p = spark.range(6).select(
+      col("id"),
+      date_from_unix_date(col("id").cast("int") - 2).as("d"),
+      timestamp_micros(col("id") * 1500 - 2500).as("ts"),
+    )
+    val expected = StatsCatalog.compute(p)
+    assert(expected.cols("d") == NumStats(-2, 3))
+    assert(expected.cols("ts") == NumStats(-3, 5)) // -2.5 ms floors to -3
+    val key = "spark.sql.datetime.java8API.enabled"
+    spark.conf.set(key, "true")
+    try {
+      assert(StatsCatalog.compute(p) == expected)
+      assert(R2D2.run(Seq("p" -> p, "c" -> p.where(col("id") % 2 === 0))).containmentGraph.edges.contains(Edge("p", "c")))
+    } finally spark.conf.unset(key)
   }
 }
