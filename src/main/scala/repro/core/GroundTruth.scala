@@ -3,20 +3,23 @@ package repro.core
 import org.apache.spark.sql.{DataFrame, Row}
 
 /** A fully-materialized table for brute-force ground-truth computation:
-  * canonical string values per cell, columns in schema-token order.
+  * canonical string values per cell (null for a null), columns in
+  * schema-token order.
   */
 final case class TableData(name: String, columns: Seq[String], rows: Array[Array[String]]) {
   lazy val schema: SchemaSet = SchemaSet(columns.toSet)
   def rowCount: Long = rows.length.toLong
 
-  /** Distinct row keys projected onto `cols` (must be a subset of columns). */
-  def projectedKeys(cols: Seq[String]): Set[String] = {
+  /** Distinct rows projected onto `cols` (must be a subset of columns), each
+    * keyed by the sequence of its cells.
+    */
+  def projectedKeys(cols: Seq[String]): Set[Seq[String]] = {
     val idx = cols.map { c =>
       val i = columns.indexOf(c)
       require(i >= 0, s"column $c not in ${name}")
       i
     }
-    rows.iterator.map(r => idx.map(r).mkString("\u0001")).toSet
+    rows.iterator.map(r => idx.map(r)).toSet
   }
 }
 
@@ -26,10 +29,12 @@ object TableData {
     * an identity hash); `-0.0` renders as `0.0`; a float renders as the
     * double it widens to, as `<=>` compares it with a double; arrays and
     * structs render element by element, each element prefixed by its length
-    * so that no two different values share a rendering.
+    * so that no two different values share a rendering. A null stays null at
+    * the top level, and renders as a bare `∅` inside an array or struct,
+    * where no length-prefixed element can equal it.
     */
   def cell(v: Any): String = v match {
-    case null                        => "∅"
+    case null                        => null
     case b: Array[Byte]              => java.util.HexFormat.of().formatHex(b)
     case d: Double if d == 0.0       => "0.0"
     case f: Float                    => cell(f.toDouble)
@@ -39,7 +44,7 @@ object TableData {
   }
 
   private def elements(xs: Iterable[Any], open: String, close: String): String =
-    xs.iterator.map { x => val s = cell(x); s"${s.length}:$s" }.mkString(open, ",", close)
+    xs.iterator.map { x => val s = cell(x); if (s == null) "∅" else s"${s.length}:$s" }.mkString(open, ",", close)
 
   def fromDf(name: String, df: DataFrame): TableData = {
     val cols = df.columns.toSeq

@@ -38,11 +38,7 @@ object MMP {
   }
 
   def prune(graph: ContainmentGraph, stats: String => DatasetStats): MMPResult = {
-    var ops = 0L
-    val pruned = graph.edges.filter { e =>
-      ops += 1
-      violates(stats(e.parent), stats(e.child))
-    }
-    MMPResult(graph.removeEdges(pruned), pruned, ops)
+    val pruned = graph.edges.filter(e => violates(stats(e.parent), stats(e.child)))
+    MMPResult(graph.removeEdges(pruned), pruned, graph.edges.size.toLong)
   }
 }

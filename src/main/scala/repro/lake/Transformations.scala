@@ -25,7 +25,7 @@ import scala.util.Random
   */
 object Transformations {
 
-  /** First DoubleType column of `df`, if any. */
+  /** Every DoubleType column of `df`, in schema order. */
   def doubleColumns(df: DataFrame): Seq[String] =
     df.schema.fields.toSeq.collect { case StructField(n, DoubleType, _, _) => n }
 

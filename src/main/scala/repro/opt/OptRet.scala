@@ -40,9 +40,11 @@ final case class OptSolution(retained: Set[String], reconstructVia: Map[String, 
   *
   * Given the retained set, the optimal y picks each deleted node's cheapest
   * retained parent — so the search is over x only. The graph decomposes into
-  * weakly-connected components solved independently: exact branch-and-bound
-  * for components up to `bbLimit` nodes, greedy local search beyond (used
-  * only for the Fig. 6 random-graph scalability regime).
+  * weakly-connected components solved independently by one exact
+  * branch-and-bound; DYN-LIN's line graphs (Thm 5.1) are its special case.
+  * A component of more than `bbLimit` nodes keeps every node, which is always
+  * safe. No lake reaches that limit: OPT-RET edges need a provenance path, so
+  * a component stays inside one lake family.
   */
 object OptRet {
 
@@ -54,19 +56,12 @@ object OptRet {
       p.nodes.map(_.name),
       p.edges.map(e => repro.core.Edge(e.parent, e.child)),
     )
-    var retained = Set.newBuilder[String]
-    var via = Map.newBuilder[String, OptEdge]
-    var total = 0.0
-    for (comp <- graph.weakComponents) {
-      val sub = comp.toSeq.sorted
-      val sol =
-        if (sub.size <= bbLimit) branchAndBound(p, sub.map(nodeByName), parentEdges)
-        else greedy(p, sub.map(nodeByName), parentEdges)
-      retained ++= sol.retained
-      via ++= sol.reconstructVia
-      total += sol.cost
+    val sols = graph.weakComponents.map { comp =>
+      val sub = comp.toSeq.sorted.map(nodeByName)
+      if (sub.size <= bbLimit) branchAndBound(p, sub, parentEdges)
+      else OptSolution(comp, Map.empty, sub.map(p.retentionCost).sum)
     }
-    OptSolution(retained.result(), via.result(), total)
+    OptSolution(sols.flatMap(_.retained).toSet, sols.flatMap(_.reconstructVia).toMap, sols.map(_.cost).sum)
   }
 
   /** Cost of a full assignment; None if infeasible. */
@@ -111,75 +106,33 @@ object OptRet {
       parentEdges: Map[String, Seq[OptEdge]],
   ): OptSolution = {
     val n = nodes.size
-    // Optimistic per-node bound: min(retain, best-possible deletion).
-    val optimistic = nodes.map { v =>
-      val es = parentEdges(v.name)
-      val bestDel = if (es.isEmpty) Double.PositiveInfinity else es.map(p.deletionCost(v, _)).min
-      math.min(p.retentionCost(v), bestDel)
-    }.toArray
-    val suffixBound = Array.fill(n + 1)(0.0)
-    for (i <- n - 1 to 0 by -1) suffixBound(i) = suffixBound(i + 1) +
-      (if (optimistic(i).isInfinity) p.retentionCost(nodes(i)) else optimistic(i))
+    // Optimistic per-node bound: the cheaper of retaining v and its cheapest deletion.
+    val optimistic = nodes.map(v => (p.retentionCost(v) +: parentEdges(v.name).map(p.deletionCost(v, _))).min).toArray
+    val suffixBound = optimistic.scanRight(0.0)(_ + _)
 
-    var bestCost = Double.PositiveInfinity
-    var bestSet: Set[String] = Set.empty
+    var best: Option[OptSolution] = None
     val state = new Array[Boolean](n) // retained?
 
-    def leafCost(): Option[(Double, Map[String, OptEdge])] = {
-      val retained = nodes.zipWithIndex.collect { case (v, i) if state(i) => v.name }.toSet
-      evaluate(p, nodes, parentEdges, retained)
-    }
-
     def rec(i: Int, partial: Double): Unit = {
-      if (partial + suffixBound(i) >= bestCost) return
+      if (best.exists(partial + suffixBound(i) >= _.cost)) return
       if (i == n) {
-        leafCost().foreach { case (cost, _) =>
-          if (cost < bestCost) {
-            bestCost = cost
-            bestSet = nodes.zipWithIndex.collect { case (v, j) if state(j) => v.name }.toSet
-          }
+        val retained = nodes.indices.collect { case j if state(j) => nodes(j).name }.toSet
+        evaluate(p, nodes, parentEdges, retained).foreach { case (cost, via) =>
+          if (best.forall(_.cost > cost)) best = Some(OptSolution(retained, via, cost))
         }
         return
       }
       val v = nodes(i)
-      // Branch: retain first (always feasible), then delete.
+      // Branch: retain first (always feasible), then delete if v has a parent to rebuild from.
       state(i) = true
       rec(i + 1, partial + p.retentionCost(v))
-      if (!optimistic(i).isInfinity) {
+      if (parentEdges(v.name).nonEmpty) {
         state(i) = false
         rec(i + 1, partial + optimistic(i))
         state(i) = true
       }
     }
     rec(0, 0.0)
-    val (cost, via) = evaluate(p, nodes, parentEdges, bestSet)
-      .getOrElse(throw new IllegalStateException("B&B produced infeasible best"))
-    OptSolution(bestSet, via, cost)
-  }
-
-  /** Greedy local search: start all-retained; repeatedly delete the node with
-    * the largest positive saving while feasibility holds.
-    */
-  def greedy(
-      p: OptProblem,
-      nodes: Seq[OptNode],
-      parentEdges: Map[String, Seq[OptEdge]],
-  ): OptSolution = {
-    var retained = nodes.map(_.name).toSet
-    var improved = true
-    while (improved) {
-      improved = false
-      val candidates = nodes.filter(v => retained(v.name)).flatMap { v =>
-        val without = retained - v.name
-        evaluate(p, nodes, parentEdges, without).map { case (cost, _) => (v.name, cost) }
-      }
-      val cur = evaluate(p, nodes, parentEdges, retained).get._1
-      candidates.sortBy(_._2).headOption.filter(_._2 < cur - 1e-12).foreach { case (name, _) =>
-        retained -= name
-        improved = true
-      }
-    }
-    val (cost, via) = evaluate(p, nodes, parentEdges, retained).get
-    OptSolution(retained, via, cost)
+    best.getOrElse(throw new IllegalStateException("B&B found no feasible plan"))
   }
 }

@@ -61,6 +61,9 @@ class GroundTruthSpec extends SparkSpec {
   test("projectedKeys separates values with a control character (no concat collisions)") {
     val t = table("t", Seq("a", "b"), Seq(Seq("ab", "c"), Seq("a", "bc")))
     assert(t.projectedKeys(Seq("a", "b")).size == 2)
+    val child = table("c", Seq("a", "b"), Seq(Seq("a\u0001b", "c")))
+    val parent = table("p", Seq("a", "b"), Seq(Seq("a", "b\u0001c")))
+    assert(GroundTruth.containmentFraction(child, parent) == 0.0)
   }
 
   test("projectedKeys rejects unknown columns") {
@@ -123,5 +126,14 @@ class GroundTruthSpec extends SparkSpec {
   test("nested cells render injectively: arrays whose elements join to the same text differ") {
     assert(TableData.cell(Seq("a,b")) != TableData.cell(Seq("a", "b")))
     assert(TableData.cell(Seq(Seq("a"), Seq())) != TableData.cell(Seq(Seq(), Seq("a"))))
+    assert(TableData.cell(Seq(null)) != TableData.cell(Seq("∅")))
+  }
+
+  test("a null and the string \"∅\" are different values, in both directions") {
+    val sym = TableData.fromDf("sym", spark.createDataFrame(Seq(Tuple1(Option("∅")))).toDF("s"))
+    val nul = TableData.fromDf("nul", spark.createDataFrame(Seq(Tuple1(Option.empty[String]))).toDF("s"))
+    assert(GroundTruth.containmentFraction(sym, nul) == 0.0)
+    assert(GroundTruth.containmentFraction(nul, sym) == 0.0)
+    assert(GroundTruth.containmentFraction(nul, nul) == 1.0)
   }
 }

@@ -92,24 +92,14 @@ class OptRetSpec extends AnyFunSuite {
     }
   }
 
-  /** The greedy heuristic is feasible and never beats the exact optimum. */
-  for (trial <- 0 until 10) {
-    test(s"greedy is feasible and ≥ optimal (trial $trial)") {
-      val rng = new Random(1700 + trial)
-      val n = 3 + rng.nextInt(7)
-      val nodes = (0 until n).map(i => node(s"n$i", 1e8 + rng.nextDouble() * 1e9, rng.nextDouble() * 2))
-      val edges = (for {
-        i <- 0 until n
-        j <- 0 until n if i < j && rng.nextDouble() < 0.4
-      } yield OptEdge(s"n$i", s"n$j", rng.nextDouble() * 100)).distinct
-      val p = OptProblem(nodes, edges, cm)
-      val opt = OptRet.bruteForce(p)
-      val pe = edges.groupBy(_.child).withDefaultValue(Seq.empty[OptEdge])
-      val g = OptRet.greedy(p, p.nodes, pe)
-      assert(g.cost >= opt.cost - 1e-9)
-      val deleted = nodes.map(_.name).filterNot(g.retained)
-      deleted.foreach(d => assert(g.retained(g.reconstructVia(d).parent)))
-    }
+  test("a component above bbLimit keeps every node; the default limit deletes") {
+    val nodes = Seq(node("a", 1e9), node("b", 1e9, acc = 0.0), node("c", 1e9, acc = 0.0))
+    val p = OptProblem(nodes, Seq(OptEdge("a", "b", 1.0), OptEdge("b", "c", 1.0)), cm)
+    val whole = OptRet.solve(p, bbLimit = 2)
+    assert(whole.retained == Set("a", "b", "c"))
+    assert(whole.reconstructVia.isEmpty)
+    assert(math.abs(whole.cost - nodes.map(p.retentionCost).sum) < 1e-9)
+    assert(OptRet.solve(p).retained.size < nodes.size)
   }
 
   test("component decomposition: two independent families solved independently") {
