@@ -13,8 +13,6 @@ final case class Edge(parent: String, child: String) {
   * after MMP/CLP it means table containment with high probability.
   */
 final case class ContainmentGraph(nodes: Set[String], edges: Set[Edge]) {
-  def addEdge(e: Edge): ContainmentGraph = copy(edges = edges + e)
-  def removeEdge(e: Edge): ContainmentGraph = copy(edges = edges - e)
   def removeEdges(es: Iterable[Edge]): ContainmentGraph = copy(edges = edges -- es)
   def addNode(n: String): ContainmentGraph = copy(nodes = nodes + n)
 
@@ -22,11 +20,7 @@ final case class ContainmentGraph(nodes: Set[String], edges: Set[Edge]) {
   def removeNode(n: String): ContainmentGraph =
     ContainmentGraph(nodes - n, edges.filterNot(e => e.parent == n || e.child == n))
 
-  def parentsOf(child: String): Set[String] = edges.collect { case Edge(p, `child`) => p }
-  def childrenOf(parent: String): Set[String] = edges.collect { case Edge(`parent`, c) => c }
-
   def edgeCount: Int = edges.size
-  def nodeCount: Int = nodes.size
 
   /** Weakly-connected components (used to decompose OPT-RET). */
   def weakComponents: Seq[Set[String]] = {
@@ -51,7 +45,6 @@ final case class ContainmentGraph(nodes: Set[String], edges: Set[Edge]) {
 }
 
 object ContainmentGraph {
-  val empty: ContainmentGraph = ContainmentGraph(Set.empty, Set.empty)
   def apply(nodes: Iterable[String], edges: Iterable[Edge]): ContainmentGraph =
     ContainmentGraph(nodes.toSet, edges.toSet)
 }

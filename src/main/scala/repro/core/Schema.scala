@@ -44,8 +44,13 @@ object SchemaSet {
         st.fields.toSeq.flatMap(f => walk(s"$token.${f.name}", c.getField(f.name), f.dataType))
       case _ => Seq(token -> canonical(c, dt))
     }
-    schema.fields.toSeq.flatMap(f => walk(f.name, col(s"`${f.name}`"), f.dataType))
+    schema.fields.toSeq.flatMap(f => walk(f.name, qcol(f.name), f.dataType))
   }
+
+  /** The top-level column named `name`, which may hold dots or backticks:
+    * quoted in backticks, each backtick in it doubled.
+    */
+  def qcol(name: String): Column = col(s"`${name.replace("`", "``")}`")
 
   /** `c`, of type `dt`, with every map inside it replaced by its sorted entries. */
   private def canonical(c: Column, dt: DataType): Column = dt match {

@@ -1,5 +1,7 @@
 package repro.exp
 
+import repro.core.CLPConfig
+
 /** Table 3: pairwise row-level operations per method.
   *
   * Cost model, as in the paper:
@@ -17,7 +19,7 @@ object OpCountExperiment {
   def compute(out: PipelineOutput): Ops = {
     val n = out.lake.datasets.size
     val clpOps = out.mmp.graph.edges.toSeq
-      .map(e => out.catalog(e.parent).rowCount.toDouble * out.clpCfg.t)
+      .map(e => out.catalog(e.parent).rowCount.toDouble * CLPConfig().t)
       .sum
     Ops(
       gtSchema = out.gtSchemaOps.toDouble,

@@ -24,7 +24,6 @@ final case class PipelineOutput(
     gtSchemaOps: Long,
     gt: GroundTruth.ContentGT,
     gtMs: Long,
-    clpCfg: CLPConfig,
 ) {
   def catalog: StatsCatalog = run.catalog
   def sgb: SGBResult = run.sgb
@@ -55,8 +54,7 @@ object PipelineRunner {
     */
   def run(spark: SparkSession, profile: LakeProfile): PipelineOutput = {
     val lake = LakeGenerator.generate(spark, profile)
-    val clpCfg = CLPConfig()
-    val run = R2D2.run(lake.datasets.map(d => d.name -> d.df), clpCfg)
+    val run = R2D2.run(lake.datasets.map(d => d.name -> d.df))
 
     // Ground truth (§6.2): brute-force schema graph, then full-content check
     // per schema edge. Timed as one unit — this is the baseline R2D2 beats.
@@ -66,6 +64,6 @@ object PipelineRunner {
     val gtContent = GroundTruth.contentGraph(gtSchemaGraph, data(_))
     val gtMs = (System.nanoTime() - t0) / 1000000
 
-    PipelineOutput(lake, run, gtSchemaGraph, gtSchemaOps, gtContent, gtMs, clpCfg)
+    PipelineOutput(lake, run, gtSchemaGraph, gtSchemaOps, gtContent, gtMs)
   }
 }

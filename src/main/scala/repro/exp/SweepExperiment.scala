@@ -16,7 +16,7 @@ object SweepExperiment {
 
   def run(out: PipelineOutput): Result = {
     val cells = for (s <- sValues; t <- tValues) yield {
-      val (_, eval) = out.rerunCLP(CLPConfig(s = s, t = t, seed = out.clpCfg.seed))
+      val (_, eval) = out.rerunCLP(CLPConfig(s = s, t = t))
       (s, t) -> eval.incorrect
     }
     Result(cells.toMap)

@@ -122,8 +122,8 @@ object LakeGenerator {
       val dblCols = Transformations.doubleColumns(root)
       val topValues = scala.collection.mutable.Map.empty[String, Seq[Any]]
       def valuesOf(c: String): Seq[Any] = topValues.getOrElseUpdate(c,
-        root.groupBy(col(s"`$c`")).count()
-          .orderBy(desc("count"), col(s"`$c`"))
+        root.groupBy(SchemaSet.qcol(c)).count()
+          .orderBy(desc("count"), SchemaSet.qcol(c))
           .limit(12).collect().map(_.get(0)).toSeq)
 
       def register(name: String, df: DataFrame, kind: String, parent: String, depth: Int): LakeDataset = {

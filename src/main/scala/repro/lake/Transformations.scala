@@ -6,6 +6,8 @@ import org.apache.spark.sql.types._
 
 import scala.util.Random
 
+import repro.core.SchemaSet.qcol
+
 /** The transformation/processing operations the paper simulates for its
   * synthetic lakes (§6.1.1). Each models a real data-lake derivation:
   *
@@ -43,12 +45,12 @@ object Transformations {
     require(topValues.nonEmpty, s"no values to filter on for $column")
     val rank = math.min(zipf.sample(rng), topValues.size)
     val value = topValues(rank - 1)
-    parent.where(col(s"`$column`") === lit(value))
+    parent.where(qcol(column) === lit(value))
   }
 
   /** Numeric range filter `col <= min + q·(max−min)` — a WHERE sample too. */
   def filterRange(parent: DataFrame, column: String, min: Double, max: Double, q: Double): DataFrame =
-    parent.where(col(s"`$column`") <= lit(min + q * (max - min)))
+    parent.where(qcol(column) <= lit(min + q * (max - min)))
 
   /** Drop `dropCols`; the child's distinct rows are contained in the parent's
     * projection by construction.
@@ -93,7 +95,7 @@ object Transformations {
       val b = ncols(rng.nextInt(ncols.size))
       val (wa, wb) = (rng.nextDouble() * 3 + 0.5, rng.nextDouble() * 3 + 0.5)
       df.withColumn(s"${prefix}_derived$i",
-        col(s"`$a`").cast(DoubleType) * lit(wa) + col(s"`$b`").cast(DoubleType) * lit(wb))
+        qcol(a).cast(DoubleType) * lit(wa) + qcol(b).cast(DoubleType) * lit(wb))
     }
   }
 
@@ -106,7 +108,7 @@ object Transformations {
   def noise(parent: DataFrame, column: String, min: Double, max: Double,
             rho: Double, inRange: Boolean, seed: Long): DataFrame = {
     val range = math.max(1e-6, max - min)
-    val c = col(s"`$column`")
+    val c = qcol(column)
     val perturbed =
       if (inRange) least(lit(max), c + lit(range * 0.0037431))
       else c + lit(range * 3.0 + 1.0)
@@ -114,5 +116,5 @@ object Transformations {
   }
 
   /** Exact duplicate — Spark row order is immaterial, so this is P = Q. */
-  def duplicate(parent: DataFrame): DataFrame = parent.select(parent.columns.map(c => col(s"`$c`")): _*)
+  def duplicate(parent: DataFrame): DataFrame = parent.select(parent.columns.map(qcol): _*)
 }

@@ -1,6 +1,6 @@
 package repro.stats
 
-import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
 import org.apache.spark.unsafe.types.UTF8String
@@ -74,9 +74,6 @@ final class StatsCatalog {
 
 object StatsCatalog {
 
-  /** Quote a (possibly dotted) flattened column token for use in `col`. */
-  def qcol(token: String): Column = col(s"`$token`")
-
   /** Project a (possibly nested) DataFrame to a flat one whose column names
     * are the flattened schema tokens (`product.price` etc.), through the one
     * flattener, [[SchemaSet.leaves]].
@@ -116,7 +113,7 @@ object StatsCatalog {
   /** [[compute]] for a frame that [[flatten]] returned. */
   private def aggregate(flat: DataFrame): DatasetStats = {
     val aggs = flat.schema.fields.toSeq.flatMap { f =>
-      if (hasStats(f.dataType)) Seq(min(qcol(f.name)).as(s"min::${f.name}"), max(qcol(f.name)).as(s"max::${f.name}"))
+      if (hasStats(f.dataType)) Seq(min(SchemaSet.qcol(f.name)).as(s"min::${f.name}"), max(SchemaSet.qcol(f.name)).as(s"max::${f.name}"))
       else Seq.empty
     } :+ count(lit(1)).as("cnt::")
 

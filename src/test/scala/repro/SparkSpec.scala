@@ -13,8 +13,8 @@ import scala.jdk.CollectionConverters._
 /** Base for every test: one local-mode SparkSession for the whole run.
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
-  * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit). Broadcast joins are disabled so shuffle/join papers actually
+  * SPARK_DRIVER_MEM when it is set, else from physical memory (half of it,
+  * clamped to 2–8 GB). Broadcast joins are disabled so shuffle/join papers actually
   * exercise the shuffle path at SF~=0.1; re-enable per-query if the
   * paper's contribution is the broadcast side.
   */
@@ -77,8 +77,8 @@ object SparkSpec {
               sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
-    // One line in test output that tells the driver whether the cgroup
-    // derivation saw the real limit (README § Spark target).
+    // One line in test output that tells which heap setting, master and
+    // parallelism the run used.
     Console.err.println(
       s"[SparkSpec] driverMem=${sys.env.getOrElse("SPARK_DRIVER_MEM", "(unset)")} " +
       s"master=${s.sparkContext.master} " +

@@ -2,16 +2,16 @@ package repro.core
 
 import org.apache.spark.sql.{Column, DataFrame, ExpressionColumns, Row}
 import org.apache.spark.sql.catalyst.{CatalystTypeConverters, InternalRow}
-import org.apache.spark.sql.catalyst.expressions.{Cast, CollationAwareXxHash64, UnsafeProjection}
+import org.apache.spark.sql.catalyst.expressions.{Cast, CollationAwareXxHash64, UnsafeProjection, UnsafeRow}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
 import org.scalacheck.{Gen, Prop, Test}
 import org.scalacheck.util.Pretty
 
 import repro.{SparkSpec, SynthData}
+import repro.core.SchemaSet.qcol
 import repro.lake.Transformations
 import repro.stats.{NumStats, StatsCatalog}
-import repro.stats.StatsCatalog.qcol
 
 import scala.jdk.CollectionConverters._
 import scala.util.Random
@@ -115,10 +115,16 @@ class CLPSpec extends SparkSpec {
     assert(res.probeCount > 0)
   }
 
-  test("no common columns means no probes and no pruning") {
-    val other = spark.range(5).select(col("id").as("zzz"))
-    val res = pruneEdge(li, other, CLPConfig())
-    assert(res.pruned.isEmpty && res.probeCount == 0)
+  // A child with a column its parent lacks is no containment, whatever its
+  // rows: the edge is pruned with no probe.
+  test("a foreign edge with no common column is pruned without a probe") {
+    val res = pruneEdge(li, spark.range(5).select(col("id").as("zzz")), CLPConfig())
+    assert(res.pruned == Set(Edge("p", "c")) && res.graph.edges.isEmpty && res.probeCount == 0)
+  }
+
+  test("a foreign edge whose child has one extra column is pruned without a probe") {
+    val res = pruneEdge(li, li.withColumn("extra", lit(1)), CLPConfig())
+    assert(res.pruned == Set(Edge("p", "c")) && res.graph.edges.isEmpty && res.probeCount == 0)
   }
 
   test("null values are handled null-safely (a contained child with nulls is kept)") {
@@ -396,9 +402,9 @@ class CLPSpec extends SparkSpec {
   private val samePools = same(scalarPools)
   private val verdictPair = pairOf(samePools ++ crossPools, samePools ++ same(nestedPools) ++ crossPools)
 
-  /** The one-group sample CLP draws from `child`. */
-  private def sampled(child: DataFrame, common: Seq[String], cfg: CLPConfig): CLP.Sample =
-    CLP.sample(Seq("c" -> common), _ => new CLP.Plan(child, common), cfg).head
+  /** The sample CLP draws from `child`, planned over `cols`. */
+  private def sampled(child: DataFrame, cols: Seq[String], cfg: CLPConfig): CLP.Sample =
+    CLP.sample(Seq("c"), _ => new CLP.Plan(child, cols), cfg).head
 
   private def frame(schema: StructType, rows: Seq[Row]): DataFrame = StatsCatalog.flatten(spark.createDataFrame(rows.asJava, schema))
 
@@ -437,17 +443,17 @@ class CLPSpec extends SparkSpec {
   /** Phase (a) as DataFrame queries, per probe: the least value hash over
     * the search column's non-null values, then the ≤ `t` smallest distinct
     * salted hashes among the rows holding it. Each salted hash stands for
-    * the class of rows that have it, as (content hash, [[rowBits]]) pairs:
-    * the planned pass keeps one row of each class, which one depending on
-    * the order it reads them. Unequal rows can share a salted hash: -0.0
-    * hashes as 0.0, and a null and an empty array both leave the hash as it
-    * was.
+    * the class of rows that have it, as their [[rowBits]]: the planned pass
+    * keeps one row of each class, which one depending on the order it reads
+    * them. Unequal rows can share a salted hash: -0.0 hashes as 0.0, a null
+    * and an empty array both leave the hash as it was, and strings equal
+    * under their collation hash alike.
     */
-  private def oracleSample(child: String, df: DataFrame, common: Seq[String], cfg: CLPConfig): Seq[Seq[Set[(Long, Seq[Byte])]]] = {
-    val cols: Seq[Column] = common.map(qcol)
+  private def oracleSample(child: String, df: DataFrame, tokens: Seq[String], cfg: CLPConfig): Seq[Seq[Set[Seq[Byte]]]] = {
+    val cols: Seq[Column] = tokens.map(qcol)
     val schema = df.select(cols: _*).schema
     val rng = new scala.util.Random(cfg.seed ^ child.hashCode.toLong)
-    val scalar = common.filter(c => df.schema(c).dataType match {
+    val scalar = tokens.filter(c => df.schema(c).dataType match {
       case _: ArrayType | _: MapType | _: StructType => false
       case _                                         => true
     })
@@ -456,25 +462,23 @@ class CLPSpec extends SparkSpec {
       val salt = Seq(lit(cfg.seed), lit(child), lit(j))
       val hashed = df.select(Seq(
         when(qcol(search(j)).isNotNull, valueHash(salt :+ qcol(search(j)))).as("__value"),
-        xxhash64(salt ++ cols: _*).as("__salted"),
-        xxhash64(cols: _*).as("__content"),
+        valueHash(salt ++ cols).as("__salted"),
       ) ++ cols: _*)
       val least = hashed.agg(min("__value")).head().get(0)
       if (least == null) Seq.empty
       else {
         val held = hashed.where(col("__value") === least)
         val salted = held.select("__salted").distinct().orderBy("__salted").limit(cfg.t).collect().map(_.getLong(0))
-        held.where(col("__salted").isin(salted: _*)).collect().toSeq.groupMap(_.getLong(1)) { r =>
-          r.getLong(2) -> rowBits(schema, Row.fromSeq(r.toSeq.drop(3)))
-        }.values.map(_.toSet).toSeq
+        held.where(col("__salted").isin(salted: _*)).collect().toSeq
+          .groupMap(_.getLong(1))(r => rowBits(schema, Row.fromSeq(r.toSeq.drop(2)))).values.map(_.toSet).toSeq
       }
     }
   }
 
-  /** Phase (b) as one null-safe left-semi join per sample: the content
-    * hashes of the sample's rows that the parent holds.
+  /** Phase (b) as one null-safe left-semi join per sample: the indices of
+    * the sample's rows that the parent holds.
     */
-  private def oracleFound(parentDf: DataFrame, samples: Seq[CLP.Sample]): Seq[Set[Long]] =
+  private def oracleFound(parentDf: DataFrame, samples: Seq[CLP.Sample]): Seq[Set[Int]] =
     samples.map(joined(parentDf, _, "left_semi"))
 
   // Alg. 3's check as the paper states it, a null-safe join of the sampled
@@ -486,21 +490,21 @@ class CLPSpec extends SparkSpec {
     */
   private def refutes(parentDf: DataFrame, s: CLP.Sample): Boolean = joined(parentDf, s, "left_anti").nonEmpty
 
-  /** The content hashes of the rows of `s` that a null-safe `how` join
+  /** The indices in `s.rows` of the rows that a null-safe `how` join
     * ("left_semi" or "left_anti") against the parent keeps, joined on all of
     * the sample's columns.
     */
-  private def joined(parentDf: DataFrame, s: CLP.Sample, how: String): Set[Long] = {
+  private def joined(parentDf: DataFrame, s: CLP.Sample, how: String): Set[Int] = {
     val toRow = CatalystTypeConverters.createToScalaConverter(s.schema)
-    val rows = s.rows.toSeq.map { case (h, r) => Row.fromSeq(h +: toRow(r).asInstanceOf[Row].toSeq) }
-    val sampled = spark.createDataFrame(rows.asJava, StructType(StructField("__hash", LongType) +: s.schema.fields)).alias("l")
-    val parentSide = parentDf.select(s.common.map(qcol): _*).alias("r")
-    val cond = s.common.map { t =>
+    val rows = s.rows.zipWithIndex.map { case (r, i) => Row.fromSeq(i +: toRow(r).asInstanceOf[Row].toSeq) }
+    val sampled = spark.createDataFrame(rows.asJava, StructType(StructField("__row", IntegerType) +: s.schema.fields)).alias("l")
+    val parentSide = parentDf.select(s.schema.fieldNames.toSeq.map(qcol): _*).alias("r")
+    val cond = s.schema.fieldNames.toSeq.map { t =>
       sameValue(col(s"l.`$t`"), s.schema(t).dataType, col(s"r.`$t`"), parentSide.schema(t).dataType)
     }.reduce(_ && _)
     // Tables here are small in absolute terms; hint the join so the
     // globally-disabled auto-broadcast does not force a full shuffle.
-    sampled.join(parentSide.hint("broadcast"), cond, how).select(col("l.__hash")).collect().map(_.getLong(0)).toSet
+    sampled.join(parentSide.hint("broadcast"), cond, how).select(col("l.__row")).collect().map(_.getInt(0)).toSet
   }
 
   /** Null-safe equality of child value `c` (type `ct`) and parent value `p`
@@ -535,11 +539,11 @@ class CLPSpec extends SparkSpec {
   }
 
   /** Does `s` draw, in each probe, exactly one row of each class the oracle
-    * gives for it, bit for bit and under its content hash, and no other row?
+    * gives for it, bit for bit, and no other row?
     */
-  private def draws(s: CLP.Sample, oracle: Seq[Seq[Set[(Long, Seq[Byte])]]]): Boolean = {
+  private def draws(s: CLP.Sample, oracle: Seq[Seq[Set[Seq[Byte]]]]): Boolean = {
     val toRow = CatalystTypeConverters.createToScalaConverter(s.schema)
-    val drawn = s.probes.map(_.toSeq.map { case (h, r) => h -> rowBits(s.schema, toRow(r).asInstanceOf[Row]) })
+    val drawn = s.probes.map(_.map(r => rowBits(s.schema, toRow(r).asInstanceOf[Row])))
     drawn.size == oracle.size && drawn.zip(oracle).forall { case (got, classes) =>
       got.size == classes.size && classes.forall(c => got.count(c) == 1)
     }
@@ -567,11 +571,13 @@ class CLPSpec extends SparkSpec {
     val seen = scala.collection.mutable.Set.empty[String]
     val prop = Prop.forAllNoShrink(gen) { case ((childSchema, parentSchema, parentRows, childRows, _), (shape, reshape), cfg) =>
       val (parent, child) = (reshape(frame(parentSchema, parentRows)), reshape(frame(childSchema, childRows)))
-      val common = sch(child).tokens.toSeq.sorted
-      val (expected, actual) = (oracleSample("c", child, common, cfg), sampled(child, common, cfg))
+      val tokens = sch(child).tokens.toSeq.sorted
+      val (expected, actual) = (oracleSample("c", child, tokens, cfg), sampled(child, tokens, cfg))
       seen += shape
-      val same = draws(actual, expected) &&
-        CLP.foundHashes(Seq(new CLP.Plan(parent, common) -> actual)) == oracleFound(parent, Seq(actual))
+      // `rows` are the probes' rows, distinct by their bytes
+      val bytes = (r: InternalRow) => r.asInstanceOf[UnsafeRow].getBytes.toSeq
+      val same = draws(actual, expected) && actual.rows.map(bytes) == actual.probes.flatten.map(bytes).distinct &&
+        CLP.foundRows(Seq(new CLP.Plan(parent, tokens) -> actual)) == oracleFound(parent, Seq(actual))
       // Spark's cache manager serves a new frame from an earlier cached one
       // whose rows are equal as values, two NaN patterns included; dropping
       // each case's frames keeps every case reading its own rows.
@@ -591,7 +597,7 @@ class CLPSpec extends SparkSpec {
       val cfg = CLPConfig(s = 2, t = 10, seed = seed)
       val (expected, actual) = (oracleSample("c", child, Seq("n", "s"), cfg), sampled(child, Seq("n", "s"), cfg))
       assert(draws(actual, expected), s"seed $seed")
-      val probes = actual.probes.map(_.values.map(r => r.getInt(0) -> r.getUTF8String(1).toString).toSet)
+      val probes = actual.probes.map(_.map(r => r.getInt(0) -> r.getUTF8String(1).toString).toSet)
       // A probe that draws two rows searched `s`: it drew every row equal
       // to its pivot under the collation, as `===` finds them.
       for (p <- probes if p.size > 1) {
@@ -615,12 +621,12 @@ class CLPSpec extends SparkSpec {
 
   test("one sampling call over many children and one scan over many parents match the oracle group by group") {
     val cfg = CLPConfig(s = 2, t = 5, seed = 3)
-    val groups = lakeEdges.map(_.child).distinct.map(c => c -> sch(lake(c)).tokens.toSeq.sorted)
+    val children = lakeEdges.map(_.child).distinct
     val plans = lake.map { case (n, df) => n -> new CLP.Plan(df, df.columns.toSeq.sorted) }
-    val samples = groups.zip(CLP.sample(groups, plans, cfg)).toMap
-    groups.foreach { case g @ (c, common) => assert(draws(samples(g), oracleSample(c, lake(c), common, cfg)), c) }
-    val scans = lakeEdges.map(e => (plans(e.parent), samples(groups.find(_._1 == e.child).get)))
-    val found = CLP.foundHashes(scans)
+    val samples = children.zip(CLP.sample(children, plans, cfg)).toMap
+    children.foreach(c => assert(draws(samples(c), oracleSample(c, lake(c), sch(lake(c)).tokens.toSeq.sorted, cfg)), c))
+    val scans = lakeEdges.map(e => (plans(e.parent), samples(e.child)))
+    val found = CLP.foundRows(scans)
     lakeEdges.zip(scans).zip(found).foreach { case ((e, (_, s)), hit) =>
       assert(hit == oracleFound(lake(e.parent), Seq(s)).head, e)
     }

@@ -13,21 +13,6 @@ class ContainmentGraphSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](Edge("a", "a"))
   }
 
-  test("parentsOf and childrenOf follow edge direction") {
-    assert(g.parentsOf("b") == Set("a"))
-    assert(g.childrenOf("a") == Set("b", "c"))
-    assert(g.parentsOf("a").isEmpty)
-    assert(g.childrenOf("e").isEmpty)
-  }
-
-  test("addEdge and removeEdge are idempotent set operations") {
-    val g2 = g.addEdge(Edge("a", "b"))
-    assert(g2.edges == g.edges)
-    val g3 = g.removeEdge(Edge("a", "b")).removeEdge(Edge("a", "b"))
-    assert(!g3.edges.contains(Edge("a", "b")))
-    assert(g3.edgeCount == g.edgeCount - 1)
-  }
-
   test("removeEdges removes a batch") {
     val g2 = g.removeEdges(Seq(Edge("a", "b"), Edge("c", "d")))
     assert(g2.edges == Set(Edge("a", "c")))
@@ -50,13 +35,13 @@ class ContainmentGraphSpec extends AnyFunSuite {
   }
 
   test("weakComponents of the empty graph is empty") {
-    assert(ContainmentGraph.empty.weakComponents.isEmpty)
+    assert(ContainmentGraph(Set.empty[String], Set.empty[Edge]).weakComponents.isEmpty)
   }
 
   test("weakComponents partition the node set") {
     val comps = g.weakComponents
     assert(comps.flatten.toSet == g.nodes)
-    assert(comps.map(_.size).sum == g.nodeCount)
+    assert(comps.map(_.size).sum == g.nodes.size)
   }
 
   test("a cycle is a single weak component") {

@@ -62,7 +62,7 @@ class DynamicUpdatesSpec extends SparkSpec {
     val (_, st0) = freshState()
     val alien = spark.range(10).select(col("id").as("alien_id")).cache()
     val (st1, _) = DynamicUpdates.addDataset(st0, "alien", alien)
-    assert(st1.graph.parentsOf("alien").isEmpty && st1.graph.childrenOf("alien").isEmpty)
+    assert(!st1.graph.edges.exists(e => e.parent == "alien" || e.child == "alien"))
   }
 
   test("addDataset rejects duplicate names") {

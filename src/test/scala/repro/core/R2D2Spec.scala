@@ -54,6 +54,13 @@ class R2D2Spec extends SparkSpec {
     assert(r.containmentGraph.edges.contains(Edge("n", "m")))
   }
 
+  test("column and struct field names holding backticks are flattened, ingested and probed") {
+    val df = spark.range(20).select((col("id") * 2).as("a`b"), struct(col("id").as("x`y")).as("s`t")).cache()
+    val r = R2D2.run(Seq("p" -> df, "f" -> df.where(col("`a``b`") < 10)))
+    assert(r.schemas("p").tokens == Set("a`b", "s`t.x`y"))
+    assert(r.containmentGraph.edges == Set(Edge("p", "f")))
+  }
+
   // Ingest takes the datasets' stats concurrently: more datasets than the
   // pool has threads, over the footer path (plain parquet reads) and the
   // aggregate path (filtered reads and in-memory frames, one nested).

@@ -10,7 +10,7 @@ class OptimizationExperimentSpec extends SparkSpec {
   lazy val res: OptimizationExperiment.Result = OptimizationExperiment.run("tiny", out)
 
   test("node partition: deleted + retained = all graph nodes") {
-    assert(res.deletedNodes + res.retainedNodes == out.clp.graph.nodeCount)
+    assert(res.deletedNodes + res.retainedNodes == out.clp.graph.nodes.size)
   }
 
   test("every deleted dataset has a retained reconstruction parent") {
