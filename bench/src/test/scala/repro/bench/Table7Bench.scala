@@ -4,9 +4,9 @@ import repro.exp._
 
 /** Table 7 — optimization on the detected containment graphs of customers 1
   * and 2: nodes/edges deleted and retained plus monthly GDPR row-scan
-  * savings. Paper shape: a meaningful minority of datasets is safely
-  * deleted, each with exactly one retention (reconstruction) edge, and
-  * customer 1 (denser graph) yields more deletions than customer 2.
+  * savings. Paper shape: a meaningful minority of datasets is deleted, each
+  * with exactly one retention (reconstruction) edge, and customer 1 (denser
+  * graph) yields more deletions than customer 2.
   */
 class Table7Bench extends BenchSpec {
 
@@ -20,7 +20,7 @@ class Table7Bench extends BenchSpec {
   for (name <- PaperTables(7).lakes) {
     lazy val r = results.find(_.name == name).get
 
-    test(s"$name: some contained datasets are deleted, none unsafely") {
+    test(s"$name: some contained datasets are deleted, each with a retained reconstruction parent") {
       assert(r.deletedNodes > 0, "expected deletions on a redundant lake")
       r.solution.reconstructVia.foreach { case (child, e) =>
         assert(r.solution.retained(e.parent), s"$child reconstructed from deleted parent")

@@ -15,11 +15,11 @@ import org.apache.parquet.schema.PrimitiveType.PrimitiveTypeName._
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.catalyst.expressions.{Alias, AttributeReference, Expression, GetStructField}
 import org.apache.spark.sql.catalyst.plans.logical.{LogicalPlan, Project}
-import org.apache.spark.sql.catalyst.util.DateTimeUtils
 import org.apache.spark.sql.execution.datasources.{DataSourceUtils, HadoopFsRelation, LogicalRelation}
 import org.apache.spark.sql.execution.datasources.parquet.{ParquetFileFormat, ParquetOptions}
 import org.apache.spark.sql.internal.LegacyBehaviorPolicy
 import org.apache.spark.sql.types._
+import org.apache.spark.unsafe.types.UTF8String
 
 import scala.jdk.CollectionConverters._
 
@@ -32,11 +32,12 @@ import scala.jdk.CollectionConverters._
   * Spark job runs.
   *
   * Footer stats are used only where they are provably the ones
-  * [[StatsCatalog.compute]] would give, canonicalized the same way: a
-  * column gets none when any row group that holds a non-null value of it
-  * lacks min/max (parquet drops them when a float column holds NaN or a
-  * binary value is longer than 4 KiB), or when its stored type does not
-  * decode exactly to the column's Spark type.
+  * [[StatsCatalog.compute]] would give: the stored min and max go through
+  * [[StatsCatalog.colStats]] as the aggregate's do. A column gets none when
+  * any row group that holds a non-null value of it lacks min/max (parquet
+  * drops them when a float column holds NaN or a binary value is longer
+  * than 4 KiB), or when its stored type does not decode exactly to the
+  * column's Spark type.
   */
 object ParquetStats {
 
@@ -147,15 +148,16 @@ object ParquetStats {
   }
 
   /** How the stored min/max of a chunk of type `pt` become the catalog's
-    * stats for a column of Spark type `dt`, when they do exactly: each
-    * value becomes the object Spark's `collect` gives for it, canonicalized
-    * as in [[StatsCatalog.compute]]. Spark reads these stored types as the
-    * values they hold; INT96 timestamps, binary and fixed-length decimals and
-    * non-string binary are not decoded.
+    * stats for a column of Spark type `dt`, when they do exactly: each value
+    * is passed to [[StatsCatalog.colStats]] as the internal value Spark
+    * reads it as (epoch days for dates, `v × unit` micros for timestamps,
+    * the unscaled value at the column's scale for INT32/INT64 decimals,
+    * UTF-8 text for strings). INT96 timestamps, binary and fixed-length
+    * decimals and non-string binary are not decoded.
     */
   private def decoder(dt: DataType, pt: PrimitiveType): Option[Statistics[_] => ColStats] = {
-    def num(f: Any => Any): Option[Statistics[_] => ColStats] =
-      Some(s => NumStats(StatsCatalog.canonical(f(s.genericGetMin)), StatsCatalog.canonical(f(s.genericGetMax))))
+    def via(f: Any => Any): Option[Statistics[_] => ColStats] =
+      Some(s => StatsCatalog.colStats(dt, f(s.genericGetMin), f(s.genericGetMax)))
     def long(v: Any): Long = v.asInstanceOf[Number].longValue
     val signed = pt.getLogicalTypeAnnotation match {
       case null                        => true
@@ -163,22 +165,20 @@ object ParquetStats {
       case _                           => false
     }
     (dt, pt.getPrimitiveTypeName, pt.getLogicalTypeAnnotation) match {
-      case (BooleanType, BOOLEAN, null) | (FloatType, FLOAT, null) | (DoubleType, DOUBLE, null) => num(identity)
-      case (ByteType | ShortType | IntegerType, INT32, _) if signed => num(identity)
-      case (LongType, INT64, _) if signed                           => num(identity)
+      case (BooleanType, BOOLEAN, null) | (FloatType, FLOAT, null) | (DoubleType, DOUBLE, null) => via(identity)
+      case (ByteType | ShortType | IntegerType, INT32, _) if signed => via(identity)
+      case (LongType, INT64, _) if signed                           => via(identity)
       case (d: DecimalType, INT32 | INT64, a: DecimalLogicalTypeAnnotation) if a.getScale == d.scale =>
-        num(v => java.math.BigDecimal.valueOf(long(v), d.scale))
-      case (DateType, INT32, _: DateLogicalTypeAnnotation) =>
-        num(v => DateTimeUtils.toJavaDate(v.asInstanceOf[Integer]))
+        via(v => Decimal.createUnsafe(long(v), d.precision, d.scale))
+      case (DateType, INT32, _: DateLogicalTypeAnnotation) => via(identity)
       case (TimestampType, INT64, t: TimestampLogicalTypeAnnotation) if t.isAdjustedToUTC =>
         val micros = t.getUnit match {
           case TimeUnit.MILLIS => Some(1000L)
           case TimeUnit.MICROS => Some(1L)
           case TimeUnit.NANOS  => None
         }
-        micros.flatMap(m => num(v => DateTimeUtils.toJavaTimestamp(long(v) * m)))
-      case (StringType, BINARY, _: StringLogicalTypeAnnotation) =>
-        Some(s => StrStats(s.genericGetMin.asInstanceOf[Binary].toStringUsingUTF8, s.genericGetMax.asInstanceOf[Binary].toStringUsingUTF8))
+        micros.flatMap(m => via(v => long(v) * m))
+      case (StringType, BINARY, _: StringLogicalTypeAnnotation) => via(v => UTF8String.fromBytes(v.asInstanceOf[Binary].getBytes))
       case _ => None
     }
   }

@@ -11,9 +11,8 @@ import repro.util.Jobs
 /** Per-column min/max statistics, the information MMP consumes.
   *
   * Orderable non-string types (numerics, dates, timestamps, booleans) are
-  * canonicalized to Double so stats computed by Spark aggregation and stats
-  * read from parquet footers compare identically: dates become epoch days,
-  * timestamps epoch millis, booleans 0/1.
+  * kept as Double, built by [[StatsCatalog.colStats]]: dates as epoch days,
+  * timestamps as epoch millis, booleans as 0/1.
   */
 sealed trait ColStats
 final case class NumStats(min: Double, max: Double) extends ColStats
@@ -40,7 +39,10 @@ final case class DatasetStats(rowCount: Long, sizeBytes: Long, cols: Map[String,
   * thereafter served from memory. A frame read straight from parquet gets
   * them from its footers ([[ParquetStats.of]]), with no Spark job; any other
   * frame (filtered, unioned, derived or in memory) gets them from one
-  * aggregation over its rows ([[StatsCatalog.compute]]).
+  * aggregation over its rows ([[StatsCatalog.compute]]). Either way each
+  * column's min and max arrive as Catalyst's internal values and become
+  * its stats through [[StatsCatalog.colStats]], so no session setting
+  * (such as `spark.sql.datetime.java8API.enabled`) moves them.
   */
 final class StatsCatalog {
   private val cache = scala.collection.concurrent.TrieMap.empty[String, DatasetStats]
@@ -89,20 +91,21 @@ object StatsCatalog {
     case _ => false
   }
 
-  /** The canonical form of a non-string min or max, as Spark's `collect`
-    * returns it with or without the `java.time` API: dates become epoch
-    * days, timestamps epoch millis (`Timestamp.getTime` and
-    * `Instant.toEpochMilli`, which both floor), booleans 0/1.
+  /** The stats of a column of type `dt` from its min and max as Catalyst's
+    * internal values, which both stats paths pass: strings keep their text,
+    * dates (epoch days) and other numbers become their double, timestamps
+    * (micros) floor to epoch millis, decimals go through
+    * `java.math.BigDecimal` and booleans become 0/1.
     */
-  private[stats] def canonical(v: Any): Double = v match {
-    case d: java.sql.Date         => d.toLocalDate.toEpochDay.toDouble
-    case d: java.time.LocalDate   => d.toEpochDay.toDouble
-    case t: java.sql.Timestamp    => t.getTime.toDouble
-    case t: java.time.Instant     => t.toEpochMilli.toDouble
-    case b: Boolean               => if (b) 1.0 else 0.0
-    case bd: java.math.BigDecimal => bd.doubleValue
-    case n: Number                => n.doubleValue
-    case other => throw new IllegalArgumentException(s"non-numeric stat value $other")
+  private[stats] def colStats(dt: DataType, min: Any, max: Any): ColStats = {
+    def num(v: Any): Double = (dt, v) match {
+      case (TimestampType, micros: Long) => Math.floorDiv(micros, 1000L).toDouble
+      case (_, d: Decimal)               => d.toJavaBigDecimal.doubleValue
+      case (_, b: Boolean)               => if (b) 1.0 else 0.0
+      case (_, n: Number)                => n.doubleValue
+      case _ => throw new IllegalArgumentException(s"no stats for $dt value $v")
+    }
+    if (dt == StringType) StrStats(min.toString, max.toString) else NumStats(num(min), num(max))
   }
 
   /** One-pass min/max/count over every orderable scalar leaf of `df`; its
@@ -110,29 +113,20 @@ object StatsCatalog {
     */
   def compute(df: DataFrame): DatasetStats = aggregate(flatten(df))
 
-  /** [[compute]] for a frame that [[flatten]] returned. */
+  /** [[compute]] for a frame that [[flatten]] returned. Its one result row
+    * is read as Catalyst's internal values: the row count, then each stats
+    * column's min and max.
+    */
   private def aggregate(flat: DataFrame): DatasetStats = {
-    val aggs = flat.schema.fields.toSeq.flatMap { f =>
-      if (hasStats(f.dataType)) Seq(min(SchemaSet.qcol(f.name)).as(s"min::${f.name}"), max(SchemaSet.qcol(f.name)).as(s"max::${f.name}"))
-      else Seq.empty
-    } :+ count(lit(1)).as("cnt::")
-
-    val row = Jobs.described(flat.sparkSession, "stats: compute")(flat.agg(aggs.head, aggs.tail: _*).collect()(0))
-    val byName = row.schema.fieldNames.zipWithIndex.toMap
-    val rowCount = row.getLong(byName("cnt::"))
-
-    val cols = flat.schema.fields.toSeq.flatMap { f =>
-      val tok = f.name
-      (byName.get(s"min::$tok"), byName.get(s"max::$tok")) match {
-        case (Some(i), Some(j)) if row.get(i) != null && row.get(j) != null =>
-          f.dataType match {
-            case StringType => Some(tok -> StrStats(row.getString(i), row.getString(j)))
-            case _          => Some(tok -> NumStats(canonical(row.get(i)), canonical(row.get(j))))
-          }
-        case _ => None
-      }
+    val fields = flat.schema.fields.toSeq.filter(f => hasStats(f.dataType))
+    val aggs = count(lit(1)) +: fields.flatMap(f => Seq(min(SchemaSet.qcol(f.name)), max(SchemaSet.qcol(f.name))))
+    val plan = flat.agg(aggs.head, aggs.tail: _*).queryExecution
+    val row = Jobs.described(flat.sparkSession, "stats: compute")(plan.toRdd.map(_.copy()).collect()(0))
+    val rowCount = row.getLong(0)
+    val cols = fields.zipWithIndex.collect {
+      case (f, i) if !row.isNullAt(2 * i + 1) =>
+        f.name -> colStats(f.dataType, row.get(2 * i + 1, f.dataType), row.get(2 * i + 2, f.dataType))
     }.toMap
-
     DatasetStats(rowCount, rowCount * flat.schema.defaultSize, cols)
   }
 }

@@ -96,7 +96,9 @@ class R2D2Spec extends SparkSpec {
   }
 
   /** The type matrix: nested structs, arrays, a map `m`, binary, decimals,
-    * sub-millisecond timestamps with and without a time zone, NaN, -0.0,
+    * sub-millisecond timestamps with and without a time zone, a year-1000
+    * timestamp and the dates 1582-10-05..14 (before the Gregorian calendar,
+    * where `java.sql` and `java.time` values disagree), NaN, -0.0,
     * strings outside the BMP (where UTF-16 and UTF-8 orders disagree) and
     * null columns.
     */
@@ -111,6 +113,8 @@ class R2D2Spec extends SparkSpec {
     ((col("id") - 30) * 1.37).cast("decimal(10,2)").as("dec2"),
     timestamp_micros(lit(1577836800000000L) + col("id") * 1250 - 30000).as("ts"),
     timestamp_micros(lit(1577836800000000L) + col("id") * 1250 - 30000).cast("timestamp_ntz").as("ntz"),
+    timestamp_micros(lit(-30610224000000000L) + col("id") * 1250 - 30000).as("oldts"),
+    date_from_unix_date((col("id") % 10).cast("int") - 141437).as("gap"),
     when(col("id") % 7 === 3, lit(Double.NaN)).otherwise(col("id") / 4).as("nan"),
     when(col("id") % 5 === 0, lit(-0.0)).otherwise(col("id").cast("double")).as("negz"),
     when(col("id") % 3 === 0, concat(lit("\uD83D\uDE00"), col("id").cast("string")))
@@ -136,21 +140,24 @@ class R2D2Spec extends SparkSpec {
 
   test("type matrix on parquet, as 1 and as 4 files: footer stats equal computed ones, and the graph is the in-memory one") {
     val inMemory = R2D2.run(Seq("p" -> matrixParent, "c" -> matrixChild))
-    for (parts <- Seq(1, 4)) {
+    val key = "spark.sql.datetime.java8API.enabled"
+    try for ((parts, java8) <- Seq(1 -> "false", 4 -> "false", 4 -> "true")) {
+      spark.conf.set(key, java8)
+      val input = s"$parts files, java8API=$java8"
       val frames = Seq("p" -> matrixParent, "c" -> matrixChild).map { case (n, df) => n -> spark.read.parquet(parquetDir(df, parts)) }
       for ((n, df) <- frames) {
         val footer = ParquetStats.of(StatsCatalog.flatten(df)).getOrElse(fail(s"$n: a plain parquet read must take the footer path"))
         val computed = StatsCatalog.compute(df)
         assert(footer.rowCount == computed.rowCount && footer.sizeBytes == computed.sizeBytes)
-        for ((c, got) <- footer.cols) assert(computed.cols.get(c).contains(got), s"$n/$parts files, $c: footer=$got computed=${computed.cols.get(c)}")
+        for ((c, got) <- footer.cols) assert(computed.cols.get(c).contains(got), s"$n/$input, $c: footer=$got computed=${computed.cols.get(c)}")
         // Every column the aggregate reports but NaN's: its footers keep no min/max.
-        assert(footer.cols.keySet == computed.cols.keySet - "nan", s"$n/$parts files")
+        assert(footer.cols.keySet == computed.cols.keySet - "nan", s"$n/$input")
       }
       val onDisk = R2D2.run(frames)
-      assert(onDisk.mmp.graph == inMemory.mmp.graph, s"$parts files")
-      assert(onDisk.containmentGraph == inMemory.containmentGraph, s"$parts files")
-      assert(onDisk.containmentGraph.edges.contains(Edge("p", "c")))
-    }
+      assert(onDisk.mmp.graph == inMemory.mmp.graph, input)
+      assert(onDisk.containmentGraph == inMemory.containmentGraph, input)
+      assert(onDisk.containmentGraph.edges.contains(Edge("p", "c")), input)
+    } finally spark.conf.unset(key)
   }
 
   test("maps nested in an array, in a map value or in a struct inside an array keep p → p.where(..)") {

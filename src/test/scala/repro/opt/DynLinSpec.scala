@@ -67,7 +67,7 @@ class DynLinSpec extends AnyFunSuite {
       val del = Double.PositiveInfinity +: Seq.fill(n - 1)(rng.nextDouble() * 10)
       val p = line(ret, del)
       val sol = OptRet.solve(p)
-      assert(math.abs(sol.cost - OptRet.bruteForce(p).cost) < 1e-9)
+      assert(math.abs(sol.cost - BruteForce.solve(p).cost) < 1e-9)
       // Reported cost matches the reported retained set.
       val recomputed = (0 until n).map(i => if (kept(sol)(i)) ret(i) else del(i)).sum
       assert(math.abs(sol.cost - recomputed) < 1e-9)

@@ -86,7 +86,7 @@ class OptRetSpec extends AnyFunSuite {
       } yield OptEdge(s"n$i", s"n$j", rng.nextDouble() * math.pow(10, rng.nextInt(4)))).distinct
       val p = OptProblem(nodes, edges, cm)
       val bb = OptRet.solve(p)
-      val bf = OptRet.bruteForce(p)
+      val bf = BruteForce.solve(p)
       assert(math.abs(bb.cost - bf.cost) < math.max(1e-9, bf.cost * 1e-9),
         s"bb=${bb.cost} bf=${bf.cost} retained bb=${bb.retained} bf=${bf.retained}")
     }

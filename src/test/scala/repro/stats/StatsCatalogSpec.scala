@@ -139,6 +139,30 @@ class StatsCatalogSpec extends SparkSpec {
     assert(R2D2.run(Seq("p" -> parent, "c" -> child)).containmentGraph.edges.contains(Edge("p", "c")))
   }
 
+  // Spark stores proleptic Gregorian days and micros; `java.sql` values
+  // rebase to the hybrid Julian calendar, `java.time` values do not. A
+  // year-1000 timestamp and the ten dates that calendar skips (1582-10-05..14)
+  // tell the two apart.
+  test("a where child of a parquet parent with pre-Gregorian dates and timestamps gets its parent's stats and keeps both edges, with or without the java.time API") {
+    val p = spark.read.parquet(parquetDir(spark.range(10).select(
+      col("id"),
+      date_from_unix_date(col("id").cast("int") - 141437).as("d"),
+      timestamp_micros(col("id") * 1500 - 30610224000000000L).as("ts"),
+    )))
+    val c = p.where(col("id") >= 0)
+    assert(ParquetStats.of(StatsCatalog.flatten(c)).isEmpty)
+    val key = "spark.sql.datetime.java8API.enabled"
+    try for (java8 <- Seq("false", "true")) {
+      spark.conf.set(key, java8)
+      val footer = ParquetStats.of(StatsCatalog.flatten(p)).getOrElse(fail("a plain parquet read must take the footer path"))
+      assert(footer == StatsCatalog.compute(c), s"java8API=$java8")
+      assert(footer.cols("d") == NumStats(-141437, -141428), s"java8API=$java8")
+      assert(footer.cols("ts") == NumStats(-30610224000000.0, -30610223999987.0), s"java8API=$java8") // the last, 13.5 ms in, floors to 13
+      val edges = R2D2.run(Seq("p" -> p, "c" -> c)).containmentGraph.edges
+      assert(edges.contains(Edge("p", "c")) && edges.contains(Edge("c", "p")), s"java8API=$java8: $edges")
+    } finally spark.conf.unset(key)
+  }
+
   test("a union child of parquet reads takes the aggregate path and keeps its edge") {
     val lo = spark.read.parquet(parquetDir(spark.range(20).select(col("id"), (col("id") * 3).as("v"))))
     val child = lo.union(spark.read.parquet(wideDir).where(col("id").between(20, 49)))
@@ -156,7 +180,8 @@ class StatsCatalogSpec extends SparkSpec {
   }
 
   // With the java.time API on, `collect` returns LocalDate and Instant for
-  // dates and timestamps; an in-memory frame takes the aggregate path.
+  // dates and timestamps; the aggregate path, which an in-memory frame
+  // takes, must give the same stats either way.
   test("dates and pre-1970 sub-millisecond timestamps get the same stats with the java.time API, and keep p → p.where(..)") {
     val p = spark.range(6).select(
       col("id"),
