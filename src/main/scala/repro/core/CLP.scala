@@ -11,7 +11,6 @@ import org.apache.spark.sql.internal.SQLConf
 import org.apache.spark.sql.types.{ArrayType, DataType, LongType, MapType, StructType}
 
 import scala.jdk.CollectionConverters._
-import scala.reflect.ClassTag
 
 import repro.util.{Jobs, Par}
 
@@ -33,9 +32,9 @@ final case class CLPConfig(
     */
   val pivotCandidates: Int = 64
   /** Reported only: the driver-side pool size ([[Par.Threads]]) that
-    * [[R2D2.run]] takes its datasets' stats on and CLP plans its datasets
-    * on. CLP's sampling and scan phases are one Spark job each, whatever the
-    * number of datasets.
+    * ingest flattens datasets, reads footers and plans its stats job on, and
+    * that CLP plans its datasets on. Ingest's stats and CLP's sampling and
+    * scan phases are one Spark job each, whatever the number of datasets.
     */
   val parallelism: Int = Par.Threads
 }
@@ -168,7 +167,7 @@ object CLP {
     */
   private[core] def sample(children: Seq[String], plans: String => Plan, cfg: CLPConfig): Seq[Sample] = {
     val specs = children.map(c => new Probes(c, plans(c), cfg))
-    val tops = collectAll(specs.indices.filter(specs(_).k > 0).map(g => specs(g).tops(g, cfg.t))).groupBy(x => (x._1, x._2))
+    val tops = Jobs.collectAll(specs.indices.filter(specs(_).k > 0).map(g => specs(g).tops(g, cfg.t))).groupBy(x => (x._1, x._2))
     specs.zipWithIndex.map { case (p, g) =>
       val probes = (0 until p.k).map { j =>
         val drawn = tops.getOrElse((g, j), Array.empty)
@@ -178,17 +177,6 @@ object CLP {
       Sample(p.plan.schema, probes)
     }
   }
-
-  /** One Spark job over the union of `rdds`, collected in partition order.
-    * Every task deserializes the job's whole RDD graph, every dataset's plan
-    * included, so the union is coalesced to twice the core count: one task
-    * per partition would repeat that work for each partition of each dataset.
-    */
-  private def collectAll[A: ClassTag](rdds: Seq[RDD[A]]): Array[A] =
-    if (rdds.isEmpty) Array.empty[A] else {
-      val sc = rdds.head.sparkContext
-      sc.union(rdds).coalesce(2 * sc.defaultParallelism).collect()
-    }
 
   /** Alg. 3's probes of one child, over the columns of its plan. Probe j
     * filters by search column j: its rows are those whose search value has
@@ -276,7 +264,7 @@ object CLP {
         ids.iterator.zip(seen.iterator.map(_.result()))
       }
     }
-    val found = collectAll(rdds).groupMapReduce(_._1)(_._2)(_ ++ _)
+    val found = Jobs.collectAll(rdds).groupMapReduce(_._1)(_._2)(_ ++ _)
     scans.indices.map(i => found.getOrElse(i, Set.empty[Long]).flatMap(keyed(i)))
   }
 

@@ -3,7 +3,6 @@ package repro.core
 import org.apache.spark.sql.DataFrame
 
 import repro.stats.StatsCatalog
-import repro.util.Par
 
 /** Wall-clock milliseconds of each stage of one run. `pipelineMs` leaves out
   * ingest, as the paper's Table 5 does.
@@ -38,11 +37,13 @@ final case class R2D2Run(
   * the child for CLP) — so recall is preserved end to end while the incorrect
   * edge count shrinks at every stage.
   *
-  * [[run]] is the only entry point of the whole pipeline. It ingests its
-  * datasets ([[StatsCatalog.ingest]]) concurrently over [[Par]]. The §7.1
-  * updates in [[DynamicUpdates]] reuse that ingest step and its MMP and CLP
-  * stages; in place of SGB's clusters they take a changed dataset's
-  * candidate edges from schema containment over all other datasets.
+  * [[run]] is the only entry point of the whole pipeline. It ingests all its
+  * datasets in one [[StatsCatalog.ingest]] call: footer stats are read over
+  * [[repro.util.Par]], and every other dataset's stats come from one Spark
+  * job. The §7.1 updates in [[DynamicUpdates]] reuse that ingest step and
+  * its MMP and CLP stages; in place of SGB's clusters they take a changed
+  * dataset's candidate edges from schema containment over all other
+  * datasets.
   */
 object R2D2 {
 
@@ -54,7 +55,7 @@ object R2D2 {
 
   def run(datasets: Seq[(String, DataFrame)], clpCfg: CLPConfig = CLPConfig()): R2D2Run = {
     val catalog = new StatsCatalog
-    val (flat, ingestMs) = timed(Par.map(datasets) { case (n, df) => n -> catalog.ingest(n, df) })
+    val (flat, ingestMs) = timed(catalog.ingest(datasets))
     val schemas = flat.map { case (n, df) => n -> SchemaSet.fromStruct(df.schema) }
     val dfs = flat.toMap
     val (sgb, sgbMs) = timed(SGB.build(schemas))

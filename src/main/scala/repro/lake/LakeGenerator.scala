@@ -114,10 +114,10 @@ object LakeGenerator {
       // different families have disjoint (or deliberately shared) schemas.
       val raw = StatsCatalog.flatten(rootDf(spark, fam.root, fam.rootRows, seed))
       val root = raw.toDF(raw.columns.map(c => s"${fam.prefix}$c").toIndexedSeq: _*).cache()
-      root.count()
       out += LakeDataset(famName, root, SchemaSet.fromStruct(root.schema), "root", None, 0)
 
-      val rootStats = StatsCatalog.compute(root)
+      // One Spark job takes the root's stats and builds its cache.
+      val rootStats = StatsCatalog.scan(Seq(root)).head
       val strCols = Transformations.stringColumns(root)
       val dblCols = Transformations.doubleColumns(root)
       val topValues = scala.collection.mutable.Map.empty[String, Seq[Any]]
@@ -126,9 +126,9 @@ object LakeGenerator {
           .orderBy(desc("count"), SchemaSet.qcol(c))
           .limit(12).collect().map(_.get(0)).toSeq)
 
+      // A derived frame's cache is built by its first reader.
       def register(name: String, df: DataFrame, kind: String, parent: String, depth: Int): LakeDataset = {
         val cached = df.cache()
-        cached.count()
         val d = LakeDataset(name, cached, SchemaSet.fromStruct(cached.schema), kind, Some(parent), depth)
         out += d
         d

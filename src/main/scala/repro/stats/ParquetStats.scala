@@ -31,9 +31,9 @@ import scala.jdk.CollectionConverters._
   * are read — only footers — so the cost is O(files), not O(rows), and no
   * Spark job runs.
   *
-  * Footer stats are used only where they are provably the ones
-  * [[StatsCatalog.compute]] would give: the stored min and max go through
-  * [[StatsCatalog.colStats]] as the aggregate's do. A column gets none when
+  * Footer stats are used only where they are provably the ones a pass over
+  * the rows ([[StatsCatalog.scan]]) would give: the stored min and max go
+  * through [[StatsCatalog.colStats]] as the pass's do. A column gets none when
   * any row group that holds a non-null value of it lacks min/max (parquet
   * drops them when a float column holds NaN or a binary value is longer
   * than 4 KiB), or when its stored type does not decode exactly to the
@@ -52,7 +52,8 @@ object ParquetStats {
     * parquet relation. A filtered frame's files hold rows the frame does not,
     * so their range is wider than the frame's, and a child range that is too
     * wide can prune a true edge. `sizeBytes` is the catalog's estimate, as
-    * [[StatsCatalog.compute]] gives it.
+    * [[StatsCatalog.scan]] gives it. [[StatsCatalog.ingest]] calls this
+    * for each dataset before it sends the rest to its one Spark job.
     */
   def of(flat: DataFrame): Option[DatasetStats] =
     scan(flat.queryExecution.analyzed).map { case (rel, leaves) =>

@@ -1,12 +1,13 @@
 package repro.stats
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.catalyst.InternalRow
+import org.apache.spark.sql.catalyst.util.TypeUtils
 import org.apache.spark.sql.types._
 import org.apache.spark.unsafe.types.UTF8String
 
 import repro.core.SchemaSet
-import repro.util.Jobs
+import repro.util.{Jobs, Par}
 
 /** Per-column min/max statistics, the information MMP consumes.
   *
@@ -37,9 +38,10 @@ final case class DatasetStats(rowCount: Long, sizeBytes: Long, cols: Map[String,
   * (or a cache of it) so that no table scan is needed at pruning time. This
   * catalog is that substrate: stats are taken once at ingestion time and
   * thereafter served from memory. A frame read straight from parquet gets
-  * them from its footers ([[ParquetStats.of]]), with no Spark job; any other
-  * frame (filtered, unioned, derived or in memory) gets them from one
-  * aggregation over its rows ([[StatsCatalog.compute]]). Either way each
+  * them from its footers ([[ParquetStats.of]]), with no Spark job; every
+  * other frame (filtered, unioned, derived or in memory) gets them from one
+  * pass over its rows ([[StatsCatalog.scan]]), and one ingest call runs a
+  * single such pass, one Spark job, for all its datasets. Either way each
   * column's min and max arrive as Catalyst's internal values and become
   * its stats through [[StatsCatalog.colStats]], so no session setting
   * (such as `spark.sql.datetime.java8API.enabled`) moves them.
@@ -53,16 +55,26 @@ final class StatsCatalog {
   def get(name: String): Option[DatasetStats] = cache.get(name)
   def names: Set[String] = cache.keySet.toSet
 
-  /** §4.1 step 1 for one dataset: flatten `df` once, take the flattened
-    * frame's stats (from its parquet footers when they are exact, else with
-    * one aggregation) and register them under `name`. Returns the flattened
-    * frame, which every later stage reads. Safe to call from several threads.
+  /** §4.1 step 1: flatten each dataset once, take each flattened frame's
+    * stats and register them under the dataset's name. A frame whose parquet
+    * footers give exact stats takes them from there, concurrently over
+    * [[Par]] and with no Spark job; all the others share one [[StatsCatalog.scan]],
+    * one Spark job. Returns the flattened frames in input order; every later
+    * stage reads them. Safe to call from several threads.
     */
-  def ingest(name: String, df: DataFrame): DataFrame = {
-    val flat = StatsCatalog.flatten(df)
-    put(name, ParquetStats.of(flat).getOrElse(StatsCatalog.aggregate(flat)))
-    flat
+  def ingest(datasets: Seq[(String, DataFrame)]): Seq[(String, DataFrame)] = {
+    val flat = Par.map(datasets) { case (n, df) =>
+      val f = StatsCatalog.flatten(df)
+      (n, f, ParquetStats.of(f))
+    }
+    for ((n, _, Some(s)) <- flat) put(n, s)
+    val (names, rest) = flat.collect { case (n, f, None) => n -> f }.unzip
+    names.zip(StatsCatalog.scan(rest)).foreach { case (n, s) => put(n, s) }
+    flat.map { case (n, f, _) => n -> f }
   }
+
+  /** [[ingest]] of one dataset; returns its flattened frame. */
+  def ingest(name: String, df: DataFrame): DataFrame = ingest(Seq(name -> df)).head._2
 
   def remove(name: String): Unit = cache.remove(name)
 
@@ -108,25 +120,79 @@ object StatsCatalog {
     if (dt == StringType) StrStats(min.toString, max.toString) else NumStats(num(min), num(max))
   }
 
-  /** One-pass min/max/count over every orderable scalar leaf of `df`; its
-    * Spark jobs are described `stats: compute`.
+  /** The stats of each of `flats`, flat frames such as [[flatten]] returns,
+    * from one Spark job described `stats: compute`, however many frames there
+    * are. Each frame is planned once (`queryExecution.toRdd`), concurrently
+    * over [[Par]]; the job runs over the union of the plans. Each partition
+    * keeps a row count and each stats column's least and greatest non-null
+    * value as Catalyst's internal values, in the order Spark's `min` and
+    * `max` use (`TypeUtils.getInterpretedOrdering`: NaN above every other
+    * double, strings by unsigned UTF-8 bytes). The driver merges the
+    * partitions' values and turns them into stats through [[colStats]].
+    * A cached frame whose cache is not yet built gets it built by this job.
     */
-  def compute(df: DataFrame): DatasetStats = aggregate(flatten(df))
+  def scan(flats: Seq[DataFrame]): Seq[DatasetStats] = if (flats.isEmpty) Seq.empty else {
+    val cols = flats.map(_.schema.fields.toSeq.zipWithIndex.filter(c => hasStats(c._1.dataType)))
+    val types = cols.map(_.map(_._1.dataType).toArray)
+    val parts = Jobs.described(flats.head.sparkSession, "stats: compute") {
+      Jobs.collectAll(Par.map(flats.indices) { g =>
+        val (ordinals, ts) = (cols(g).map(_._2).toArray, types(g))
+        flats(g).queryExecution.toRdd.mapPartitions { rows =>
+          val e = new Extremes(ts)
+          rows.foreach(e.add(_, ordinals))
+          Iterator(g -> e)
+        }
+      })
+    }
+    val merged = parts.groupMapReduce(_._1)(_._2)(_ merge _)
+    flats.indices.map { g =>
+      val e = merged.getOrElse(g, new Extremes(types(g)))
+      val stats = cols(g).map(_._1).zipWithIndex.collect {
+        case (f, k) if e.min(k) != null => f.name -> colStats(f.dataType, e.min(k), e.max(k))
+      }
+      DatasetStats(e.rows, e.rows * flats(g).schema.defaultSize, stats.toMap)
+    }
+  }
 
-  /** [[compute]] for a frame that [[flatten]] returned. Its one result row
-    * is read as Catalyst's internal values: the row count, then each stats
-    * column's min and max.
+  /** A row count and, per column of `types`, the least and greatest non-null
+    * value seen, as Catalyst's internal values (null while none was).
+    * Values are compared under the column type's interpreted ordering; on a
+    * tie the value already kept stays. A kept string is copied, since the
+    * row it came from may be reused for the next one.
     */
-  private def aggregate(flat: DataFrame): DatasetStats = {
-    val fields = flat.schema.fields.toSeq.filter(f => hasStats(f.dataType))
-    val aggs = count(lit(1)) +: fields.flatMap(f => Seq(min(SchemaSet.qcol(f.name)), max(SchemaSet.qcol(f.name))))
-    val plan = flat.agg(aggs.head, aggs.tail: _*).queryExecution
-    val row = Jobs.described(flat.sparkSession, "stats: compute")(plan.toRdd.map(_.copy()).collect()(0))
-    val rowCount = row.getLong(0)
-    val cols = fields.zipWithIndex.collect {
-      case (f, i) if !row.isNullAt(2 * i + 1) =>
-        f.name -> colStats(f.dataType, row.get(2 * i + 1, f.dataType), row.get(2 * i + 2, f.dataType))
-    }.toMap
-    DatasetStats(rowCount, rowCount * flat.schema.defaultSize, cols)
+  private final class Extremes(types: Array[DataType]) extends Serializable {
+    var rows = 0L
+    val min = new Array[Any](types.length)
+    val max = new Array[Any](types.length)
+    @transient private lazy val orders = types.map(TypeUtils.getInterpretedOrdering)
+
+    /** Counts `r` and takes in its values at `ordinals`, one per column. */
+    def add(r: InternalRow, ordinals: Array[Int]): Unit = {
+      rows += 1
+      var k = 0
+      while (k < ordinals.length) {
+        if (!r.isNullAt(ordinals(k))) keep(k, r.get(ordinals(k), types(k)))
+        k += 1
+      }
+    }
+
+    def merge(o: Extremes): Extremes = {
+      rows += o.rows
+      for (k <- types.indices if o.min(k) != null) {
+        keep(k, o.min(k))
+        keep(k, o.max(k))
+      }
+      this
+    }
+
+    private def keep(k: Int, v: Any): Unit = {
+      if (min(k) == null || orders(k).lt(v, min(k))) min(k) = copied(v)
+      if (max(k) == null || orders(k).gt(v, max(k))) max(k) = copied(v)
+    }
+
+    private def copied(v: Any): Any = v match {
+      case s: UTF8String => s.clone()
+      case _             => v
+    }
   }
 }

@@ -5,10 +5,11 @@ import java.util.concurrent.Executors
 import scala.concurrent.{Await, ExecutionContext, Future}
 import scala.concurrent.duration.Duration
 
-/** Bounded-parallelism map for driver-side orchestration of many tiny Spark
-  * actions (CLP samples and scans, lake families, ground-truth collects). Spark's
-  * scheduler handles concurrent job submission; results return in input
-  * order, so callers stay deterministic.
+/** Bounded-parallelism map for driver-side work over many datasets: planning
+  * them (ingest's stats job, CLP), reading parquet footers, generating lake
+  * families and ground-truth collects. Spark's scheduler handles concurrent
+  * job submission; results return in input order, so callers stay
+  * deterministic.
   */
 object Par {
 

@@ -11,7 +11,7 @@ import org.scalacheck.util.Pretty
 import repro.{SparkSpec, SynthData}
 import repro.core.SchemaSet.qcol
 import repro.lake.Transformations
-import repro.stats.{NumStats, StatsCatalog}
+import repro.stats.{NumStats, StatsCatalog, StatsOracle}
 
 import scala.jdk.CollectionConverters._
 import scala.util.Random
@@ -70,14 +70,14 @@ class CLPSpec extends SparkSpec {
   }
 
   test("prunes heavy in-range noise with high probability") {
-    val stats = StatsCatalog.compute(li)
+    val stats = StatsOracle.compute(li)
     val NumStats(lo, hi) = stats.cols("l_extendedprice").asInstanceOf[NumStats]
     val noisy = Transformations.noise(li, "l_extendedprice", lo, hi, rho = 0.5, inRange = true, seed = 2).cache()
     assert(check(li, noisy, CLPConfig(s = 4, t = 10)))
   }
 
   test("light contamination often survives weak sampling but not strong sampling") {
-    val stats = StatsCatalog.compute(li)
+    val stats = StatsOracle.compute(li)
     val NumStats(lo, hi) = stats.cols("l_extendedprice").asInstanceOf[NumStats]
     val noisy = Transformations.noise(li, "l_extendedprice", lo, hi, rho = 0.35, inRange = true, seed = 3).cache()
     // With s·t large the detection probability 1−(1−ρ)^{s·t} ≈ 1.
@@ -89,7 +89,7 @@ class CLPSpec extends SparkSpec {
   // prefix of the first s' > s. So a larger budget never keeps an edge that
   // a smaller one pruned.
   test("pruned sets are nested in s and t: a larger budget never keeps an edge a smaller one pruned") {
-    val stats = StatsCatalog.compute(li)
+    val stats = StatsOracle.compute(li)
     val NumStats(lo, hi) = stats.cols("l_extendedprice").asInstanceOf[NumStats]
     val noisy = (1 to 6).map(i => s"noisy$i" ->
       Transformations.noise(li, "l_extendedprice", lo, hi, rho = 0.05 * i, inRange = true, seed = 20 + i).cache())
@@ -170,7 +170,7 @@ class CLPSpec extends SparkSpec {
   }
 
   test("deterministic in seed") {
-    val stats = StatsCatalog.compute(li)
+    val stats = StatsOracle.compute(li)
     val NumStats(lo, hi) = stats.cols("l_extendedprice").asInstanceOf[NumStats]
     val noisy = Transformations.noise(li, "l_extendedprice", lo, hi, rho = 0.1, inRange = true, seed = 8).cache()
     val r1 = check(li, noisy, CLPConfig(s = 2, t = 3, seed = 99))
@@ -184,7 +184,7 @@ class CLPSpec extends SparkSpec {
   // probability, so a sample that moved with the partitioning would flip
   // some of the eight verdicts.
   test("partition-independent: 1 and 7 partitions give identical results") {
-    val stats = StatsCatalog.compute(li)
+    val stats = StatsOracle.compute(li)
     val NumStats(lo, hi) = stats.cols("l_extendedprice").asInstanceOf[NumStats]
     val noisy = (1 to 8).map(i =>
       s"noisy$i" -> Transformations.noise(li, "l_extendedprice", lo, hi, rho = 0.3, inRange = true, seed = i).cache())

@@ -5,7 +5,7 @@ import org.scalacheck.{Gen, Prop, Test}
 import org.scalacheck.util.Pretty
 
 import repro.SparkSpec
-import repro.stats.{DatasetStats, NumStats, StatsCatalog, StrStats}
+import repro.stats.{DatasetStats, NumStats, StatsOracle, StrStats}
 
 import scala.util.Random
 
@@ -117,7 +117,7 @@ class MMPSpec extends SparkSpec {
       val parent = spark.createDataFrame(values.zipWithIndex).toDF("s", "i")
       val keep = values.indices.filter(i => (mask >>> (i % 64) & 1L) == 0L)
       val child = parent.where(col("i").isin(keep: _*))
-      val stats = Map("p" -> StatsCatalog.compute(parent), "c" -> StatsCatalog.compute(child))
+      val stats = Map("p" -> StatsOracle.compute(parent), "c" -> StatsOracle.compute(child))
       MMP.prune(ContainmentGraph(stats.keys, Seq(Edge("p", "c"))), stats(_)).pruned.isEmpty
     }
     val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(40).withInitialSeed(20231L), prop)

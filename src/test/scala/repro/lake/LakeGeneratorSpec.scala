@@ -1,8 +1,12 @@
 package repro.lake
 
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions._
+
 import repro.SparkSpec
-import repro.core.{GroundTruth, TableData}
+import repro.core.{GroundTruth, R2D2, SchemaSet, TableData}
 import repro.exp.Profiles
+import repro.stats.StatsCatalog
 
 class LakeGeneratorSpec extends SparkSpec {
 
@@ -109,5 +113,41 @@ class LakeGeneratorSpec extends SparkSpec {
     assert(Profiles.customer1().families.size == 4)
     assert(Profiles.tableUnion().families.size == 30)
     assert(Profiles.kaggle().families.size == 14)
+  }
+
+  test("a family starts the same Spark jobs with 1 derived dataset as with 6: the root's one stats job") {
+    def jobs(fam: FamilySpec): Seq[String] = {
+      val (l, started) = jobDescriptions(LakeGenerator.generate(spark, LakeProfile("jobs", 17, Seq(fam))))
+      assert(l.datasets.size == 1 + fam.projections + fam.duplicates + fam.addCols + fam.noiseIn)
+      l.unpersist()
+      started
+    }
+    val one = jobs(FamilySpec("lineitem", "j_", 2000, projections = 1))
+    val six = jobs(FamilySpec("lineitem", "j_", 2000, projections = 2, duplicates = 1, addCols = 2, noiseIn = 1))
+    assert(one == Seq("stats: compute") && six == one, (one, six))
+  }
+
+  /** Row count and two sums of the rows' xxhash64: equal for equal multisets of rows. */
+  private def fingerprint(df: DataFrame): String = {
+    val flat = StatsCatalog.flatten(df)
+    val h = xxhash64(flat.columns.toSeq.map(SchemaSet.qcol): _*)
+    val r = flat.agg(count(lit(1)), sum(pmod(h, lit(1000000007L))), sum(pmod(h, lit(998244353L)))).collect()(0)
+    s"${r.getLong(0)}:${Option(r.get(1)).getOrElse(0)}:${Option(r.get(2)).getOrElse(0)}"
+  }
+
+  // Derived caches are built by their first reader, and noise children draw
+  // `rand`: the rows must not depend on which reader that is. Each lake is
+  // unpersisted before the next is generated, so the second cannot reuse the
+  // first one's caches.
+  test("derived caches hold the same rows read children first, one at a time, as built by R2D2.run's one stats job") {
+    val profile = Profiles.tiny(seed = 41)
+    val a = LakeGenerator.generate(spark, profile)
+    val childrenFirst = try a.datasets.reverse.map(d => d.name -> fingerprint(d.df)).toMap finally a.unpersist()
+    val b = LakeGenerator.generate(spark, profile)
+    try {
+      val (_, jobs) = jobDescriptions(R2D2.run(b.datasets.map(d => d.name -> d.df)))
+      assert(jobs.count(_ == "stats: compute") == 1, jobs)
+      assert(b.datasets.map(d => d.name -> fingerprint(d.df)).toMap == childrenFirst)
+    } finally b.unpersist()
   }
 }

@@ -4,14 +4,14 @@ import org.apache.spark.sql.functions._
 
 import repro.{Oracle, SparkSpec, SynthData}
 import repro.core.{GroundTruth, TableData}
-import repro.stats.{NumStats, StatsCatalog}
+import repro.stats.{NumStats, StatsOracle}
 
 import scala.util.Random
 
 class TransformationsSpec extends SparkSpec {
 
   lazy val li = SynthData.lineitem(spark, sf = 0.0002, seed = 17).cache() // ~1200 rows
-  lazy val liStats = StatsCatalog.compute(li)
+  lazy val liStats = StatsOracle.compute(li)
   private def gt(name: String, df: org.apache.spark.sql.DataFrame) = TableData.fromDf(name, df)
 
   test("filterBy equals the corresponding SELECT … WHERE on DuckDB") {
@@ -56,7 +56,7 @@ class TransformationsSpec extends SparkSpec {
 
   test("addRows keeps every column's min/max inside the parent's range (MMP-invisible)") {
     val child = Transformations.addRows(spark, li, k = 8, new Random(3))
-    val cs = StatsCatalog.compute(child)
+    val cs = StatsOracle.compute(child)
     for ((name, s) <- liStats.cols) (s, cs.cols(name)) match {
       case (NumStats(lo, hi), NumStats(clo, chi)) =>
         assert(clo >= lo - 1e-9 && chi <= hi + 1e-9, s"$name range escaped")

@@ -19,7 +19,7 @@ class ParquetStatsSpec extends SparkSpec {
   test("footer stats equal computed stats for numeric, string and date columns") {
     val path = parquetDir(li)
     val footer = footerStats(path)
-    val computed = StatsCatalog.compute(li)
+    val computed = StatsOracle.compute(li)
     assert(footer.rowCount == computed.rowCount)
     for ((colName, expected) <- computed.cols) {
       val got = footer.cols.get(colName)
@@ -30,7 +30,7 @@ class ParquetStatsSpec extends SparkSpec {
   test("multi-file datasets merge min/max across part files") {
     val path = parquetDir(li, parts = 4)
     val footer = footerStats(path)
-    val computed = StatsCatalog.compute(li)
+    val computed = StatsOracle.compute(li)
     assert(footer.rowCount == computed.rowCount)
     assert(footer.cols("l_quantity") == computed.cols("l_quantity"))
     assert(footer.cols("l_returnflag") == computed.cols("l_returnflag"))
@@ -63,7 +63,7 @@ class ParquetStatsSpec extends SparkSpec {
     val df = spark.sql(
       "SELECT timestamp'2020-01-01 00:00:00 UTC' AS ts UNION ALL SELECT timestamp'2021-06-15 12:00:00 UTC'")
     val footer = footerStats(parquetDir(df))
-    val computed = StatsCatalog.compute(df)
+    val computed = StatsOracle.compute(df)
     assert(footer.cols("ts") == computed.cols("ts"))
   }
 
@@ -74,7 +74,7 @@ class ParquetStatsSpec extends SparkSpec {
     val pPath = parquetDir(parent)
     val cPath = parquetDir(child)
     val footers = Map("p" -> footerStats(pPath), "c" -> footerStats(cPath))
-    val computed = Map("p" -> StatsCatalog.compute(parent), "c" -> StatsCatalog.compute(child))
+    val computed = Map("p" -> StatsOracle.compute(parent), "c" -> StatsOracle.compute(child))
     val g = ContainmentGraph(Seq("p", "c"), Seq(Edge("p", "c"), Edge("c", "p")))
     val fromFooter = MMP.prune(g, footers(_)).graph.edges
     val fromCatalog = MMP.prune(g, computed(_)).graph.edges
@@ -94,7 +94,7 @@ class ParquetStatsSpec extends SparkSpec {
       """SELECT CAST(v AS DECIMAL(10,2)) AS d10, CAST(v AS DECIMAL(5,2)) AS d5, CAST(v AS DECIMAL(20,2)) AS d20
         |FROM VALUES (12.34), (-5.5) AS t(v)""".stripMargin)
     val footer = footerStats(parquetDir(df))
-    agree(footer, StatsCatalog.compute(df))
+    agree(footer, StatsOracle.compute(df))
     assert(footer.cols("d10") == NumStats(-5.5, 12.34))
     assert(footer.cols("d5") == NumStats(-5.5, 12.34))
     assert(!footer.cols.contains("d20"))
@@ -106,7 +106,7 @@ class ParquetStatsSpec extends SparkSpec {
         |(1577836800000500L), (1577836800123999L), (-500L) AS t(v)""".stripMargin)
     val footer = footerStats(parquetDir(df))
     assert(footer.cols("ts") == NumStats(-1.0, 1577836800123.0))
-    assert(footer.cols("ts") == StatsCatalog.compute(df).cols("ts"))
+    assert(footer.cols("ts") == StatsOracle.compute(df).cols("ts"))
   }
 
   test("a row group without statistics leaves its column without stats") {
@@ -118,8 +118,8 @@ class ParquetStatsSpec extends SparkSpec {
     assert(footer.rowCount == 4)
     assert(!footer.cols.contains("s"))
     assert(footer.cols("id") == NumStats(0, 2))
-    assert(StatsCatalog.compute(df).cols("s") == StrStats("a" + "z" * 5000, "b2"))
-    agree(footer, StatsCatalog.compute(df))
+    assert(StatsOracle.compute(df).cols("s") == StrStats("a" + "z" * 5000, "b2"))
+    agree(footer, StatsOracle.compute(df))
   }
 
   test("a column holding NaN gets no footer stats; an all-null file adds nothing") {
@@ -130,6 +130,6 @@ class ParquetStatsSpec extends SparkSpec {
     assert(footer.rowCount == 12)
     assert(!footer.cols.contains("x"))
     assert(footer.cols("id") == NumStats(0, 9))
-    agree(footer, StatsCatalog.compute(spark.read.parquet(path)))
+    agree(footer, StatsOracle.compute(spark.read.parquet(path)))
   }
 }

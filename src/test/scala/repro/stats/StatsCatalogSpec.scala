@@ -1,13 +1,17 @@
 package repro.stats
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
-import repro.{Oracle, SparkSpec, SynthData}
+import repro.{Oracle, SparkSpec, SynthData, TypeMatrix}
 import repro.core.{Edge, R2D2}
 
 class StatsCatalogSpec extends SparkSpec {
 
   lazy val li = SynthData.lineitem(spark, sf = 0.001, seed = 3).cache()
+
+  /** The program's stats of `df`: one pass over its flattened rows. */
+  private def stats(df: DataFrame): DatasetStats = StatsCatalog.scan(Seq(StatsCatalog.flatten(df))).head
 
   test("computed min/max agree with the DuckDB oracle on numeric columns") {
     val agg = li.agg(
@@ -21,7 +25,7 @@ class StatsCatalogSpec extends SparkSpec {
         |FROM lineitem""".stripMargin,
       "lineitem" -> li,
     )
-    val s = StatsCatalog.compute(li)
+    val s = stats(li)
     val row = agg.collect()(0)
     assert(s.cols("l_quantity") == NumStats(row.getDouble(0), row.getDouble(1)))
     assert(s.cols("l_extendedprice") == NumStats(row.getDouble(2), row.getDouble(3)))
@@ -31,26 +35,26 @@ class StatsCatalogSpec extends SparkSpec {
     val (sc, df) = (spark.sparkContext, li)
     val ((_, after), jobs) = jobDescriptions {
       sc.setJobDescription("caller")
-      (StatsCatalog.compute(df), sc.getLocalProperty("spark.job.description"))
+      (stats(df), sc.getLocalProperty("spark.job.description"))
     }
-    assert(jobs.nonEmpty && jobs.forall(_ == "stats: compute"), jobs)
+    assert(jobs == Seq("stats: compute"), jobs)
     assert(after == "caller")
   }
 
   test("row count matches the DuckDB oracle") {
     val cnt = li.agg(count(lit(1)).as("n"))
     Oracle.assertEquivalent(cnt, "SELECT count(*) AS n FROM lineitem", "lineitem" -> li)
-    assert(StatsCatalog.compute(li).rowCount == li.count())
+    assert(stats(li).rowCount == li.count())
   }
 
   test("string columns get lexicographic StrStats") {
-    val s = StatsCatalog.compute(li)
+    val s = stats(li)
     val flags = li.select("l_returnflag").distinct().collect().map(_.getString(0)).sorted
     assert(s.cols("l_returnflag") == StrStats(flags.head, flags.last))
   }
 
   test("date columns canonicalize to epoch days") {
-    val s = StatsCatalog.compute(li)
+    val s = stats(li)
     val r = li.agg(min("l_shipdate"), max("l_shipdate")).collect()(0)
     val expected = NumStats(
       r.getDate(0).toLocalDate.toEpochDay.toDouble,
@@ -64,7 +68,7 @@ class StatsCatalogSpec extends SparkSpec {
       struct(col("id").as("key"), (col("id") * 2).as("twice")).as("pair"),
       lit("z").as("tag"),
     )
-    val s = StatsCatalog.compute(nested)
+    val s = stats(nested)
     assert(s.cols.keySet == Set("pair.key", "pair.twice", "tag"))
     assert(s.cols("pair.key") == NumStats(1, 10))
     assert(s.cols("pair.twice") == NumStats(2, 20))
@@ -88,14 +92,14 @@ class StatsCatalogSpec extends SparkSpec {
 
   test("empty DataFrame yields zero rows and no column stats") {
     val empty = li.where(lit(false))
-    val s = StatsCatalog.compute(empty)
+    val s = stats(empty)
     assert(s.rowCount == 0)
     assert(s.cols.isEmpty)
   }
 
   test("all-null column yields no stats for that column") {
     val df = spark.range(5).select(col("id"), lit(null).cast("double").as("hole"))
-    val s = StatsCatalog.compute(df)
+    val s = stats(df)
     assert(!s.cols.contains("hole"))
     assert(s.cols.contains("id"))
   }
@@ -104,7 +108,7 @@ class StatsCatalogSpec extends SparkSpec {
     val cat = new StatsCatalog
     val flat = cat.ingest("li", li)
     assert(flat.schema == StatsCatalog.flatten(li).schema)
-    assert(cat("li") == StatsCatalog.compute(li))
+    assert(cat("li") == StatsOracle.compute(li))
     assert(cat.get("nope").isEmpty)
     intercept[NoSuchElementException](cat("nope"))
     cat.remove("li")
@@ -112,8 +116,8 @@ class StatsCatalogSpec extends SparkSpec {
   }
 
   test("sizeBytes scales with row count") {
-    val small = StatsCatalog.compute(li.limit(10))
-    val big = StatsCatalog.compute(li)
+    val small = stats(li.limit(10))
+    val big = stats(li)
     assert(big.sizeBytes > small.sizeBytes)
     assert(small.sizeBytes > 0)
   }
@@ -126,7 +130,7 @@ class StatsCatalogSpec extends SparkSpec {
 
   test("a plain or cached parquet read takes the footer path") {
     val df = spark.read.parquet(parentDir)
-    assert(ParquetStats.of(StatsCatalog.flatten(df)).contains(StatsCatalog.compute(df)))
+    assert(ParquetStats.of(StatsCatalog.flatten(df)).contains(StatsOracle.compute(df)))
     assert(ParquetStats.of(StatsCatalog.flatten(df.cache())).isDefined)
     assert(ParquetStats.of(StatsCatalog.flatten(df.select(struct(col("id")).as("s"), col("v")))).isEmpty) // a derived struct
     df.unpersist()
@@ -155,7 +159,7 @@ class StatsCatalogSpec extends SparkSpec {
     try for (java8 <- Seq("false", "true")) {
       spark.conf.set(key, java8)
       val footer = ParquetStats.of(StatsCatalog.flatten(p)).getOrElse(fail("a plain parquet read must take the footer path"))
-      assert(footer == StatsCatalog.compute(c), s"java8API=$java8")
+      assert(footer == stats(c), s"java8API=$java8")
       assert(footer.cols("d") == NumStats(-141437, -141428), s"java8API=$java8")
       assert(footer.cols("ts") == NumStats(-30610224000000.0, -30610223999987.0), s"java8API=$java8") // the last, 13.5 ms in, floors to 13
       val edges = R2D2.run(Seq("p" -> p, "c" -> c)).containmentGraph.edges
@@ -188,14 +192,57 @@ class StatsCatalogSpec extends SparkSpec {
       date_from_unix_date(col("id").cast("int") - 2).as("d"),
       timestamp_micros(col("id") * 1500 - 2500).as("ts"),
     )
-    val expected = StatsCatalog.compute(p)
+    val expected = stats(p)
     assert(expected.cols("d") == NumStats(-2, 3))
     assert(expected.cols("ts") == NumStats(-3, 5)) // -2.5 ms floors to -3
     val key = "spark.sql.datetime.java8API.enabled"
     spark.conf.set(key, "true")
     try {
-      assert(StatsCatalog.compute(p) == expected)
+      assert(stats(p) == expected)
       assert(R2D2.run(Seq("p" -> p, "c" -> p.where(col("id") % 2 === 0))).containmentGraph.edges.contains(Edge("p", "c")))
+    } finally spark.conf.unset(key)
+  }
+
+  /** Equal stats, a NaN bound equal to a NaN bound: MMP compares bounds as
+    * numbers, so -0.0 and 0.0 are one bound.
+    */
+  private def same(a: DatasetStats, b: DatasetStats): Boolean = {
+    def eq(x: Double, y: Double) = x == y || (x.isNaN && y.isNaN)
+    a.rowCount == b.rowCount && a.sizeBytes == b.sizeBytes && a.cols.keySet == b.cols.keySet && a.cols.forall {
+      case (c, NumStats(lo, hi)) => b.cols(c) match {
+        case NumStats(l, h) => eq(lo, l) && eq(hi, h)
+        case _              => false
+      }
+      case (c, st) => b.cols(c) == st
+    }
+  }
+
+  // The stats-bearing columns of the type matrix, with the two all-null
+  // ones (`nothing` and `hole`) left out.
+  private val matrixStats = Set("id", "s.k", "s.inner.z", "dec", "dec2", "ts", "oldts", "gap", "nan", "negz", "astral", "sometimes")
+
+  test("property: one pass over many frames gives each the SQL aggregate's stats on every column of the type matrix, at 1 and 7 partitions, with or without the java.time API") {
+    val key = "spark.sql.datetime.java8API.enabled"
+    try for (parts <- Seq(1, 7); java8 <- Seq("false", "true")) {
+      spark.conf.set(key, java8)
+      val matrix = TypeMatrix(spark.range(0, 60, 1, parts), map(lit("k"), col("id").cast("int"), lit("j"), (col("id") * 3).cast("int")))
+        .withColumn("hole", lit(null).cast("double"))
+      val frames = Seq(
+        "matrix" -> matrix,
+        "even" -> matrix.where(col("id") % 2 === 0),
+        "first5" -> matrix.where(col("id") < 5), // at 7 partitions, six of them empty
+        "no rows" -> matrix.where(col("id") < 0),
+        "empty plan" -> matrix.where(lit(false)),
+      )
+      val input = s"$parts partitions, java8API=$java8"
+      val (got, jobs) = jobDescriptions(StatsCatalog.scan(frames.map(f => StatsCatalog.flatten(f._2))))
+      assert(jobs == Seq("stats: compute"), s"$input: $jobs")
+      for (((n, df), st) <- frames.zip(got)) {
+        val oracle = StatsOracle.compute(df)
+        assert(same(st, oracle), s"$n, $input: pass $st, oracle $oracle")
+      }
+      assert(got.head.cols.keySet == matrixStats, input)
+      assert(got.map(_.rowCount) == Seq(60, 30, 5, 0, 0), input)
     } finally spark.conf.unset(key)
   }
 }
