@@ -26,9 +26,9 @@ final case class CLPConfig(
     seed: Long = 42,
 ) {
   /** Reported only: how many leading child values the earlier per-edge CLP
-    * drew a pivot from. It no longer steers sampling: a probe's pivot is now
-    * the class of search values with the least salted value hash, uniform
-    * over the column's distinct values.
+    * drew a pivot from. It no longer steers sampling: a probe's rows are now
+    * its `t` least (salted value hash, salted row hash) pairs, so its pivots
+    * are the search values in salted-hash order, as many as its rows need.
     */
   val pivotCandidates: Int = 64
   /** Reported only: the driver-side pool size ([[Par.Threads]]) that
@@ -68,15 +68,16 @@ final case class CLPResult(
   * built inside each task) over those plans, one Spark job per round for all
   * datasets together. Every hash is `CollationAwareXxHash64` with seed 42:
   *
-  *  - (a) '''One sample per child''' (one job). Probe j's pivot is the class
-  *     of its search column's non-null values with the least value hash, the
-  *     hash of the value salted by (seed, child, j); two distinct values with
-  *     equal hashes share the class. Its rows are the ≤ `t` distinct rows
-  *     holding the pivot with the smallest hashes of the row, salted alike.
-  *     One per-partition pass finds them: each partition keeps its least
-  *     value hash and the rows holding it. Both are functions of the child's
-  *     content only, so verdicts do not depend on partitioning, and a larger
-  *     `s` or `t` only adds rows.
+  *  - (a) '''One sample per child''' (one job). Probe j ranks the rows whose
+  *     search column j is not null by the pair (value hash, row hash): the
+  *     hash of the search value, then of the whole row, each salted by
+  *     (seed, child, j). Its rows are those of the ≤ `t` smallest distinct
+  *     pairs: in effect `WHERE c IN (pivots in value-hash order) LIMIT t`,
+  *     where Alg. 3 filters on one pivot value. Rows whose pairs collide
+  *     count as one row. One per-partition pass finds them: each partition
+  *     keeps its `t` smallest pairs per probe. Pairs are functions of the
+  *     child's content only, so verdicts do not depend on partitioning, and
+  *     a larger `s` or `t` only adds rows.
   *  - (b) '''One hash scan per parent''' (one job). On the driver, each
   *     sampled row becomes the key it must find in the parent: a child
   *     column whose type differs from the parent's is try-cast to the
@@ -161,30 +162,25 @@ object CLP {
   private def hash(cs: Seq[Expression]): Expression = CollationAwareXxHash64(cs, 42L)
 
   /** Phase (a): one Spark job over the union of the children's plans, a
-    * per-partition pass merged on the driver: each probe keeps the entries
-    * at its least value hash over all partitions, then the ≤ `t` distinct
-    * rows with the smallest salted hashes. Returns one sample per child.
+    * per-partition pass merged on the driver: each probe keeps the rows of
+    * its ≤ `t` smallest distinct (value hash, salted hash) pairs over all
+    * partitions. Returns one sample per child.
     */
   private[core] def sample(children: Seq[String], plans: String => Plan, cfg: CLPConfig): Seq[Sample] = {
     val specs = children.map(c => new Probes(c, plans(c), cfg))
-    val tops = Jobs.collectAll(specs.indices.filter(specs(_).k > 0).map(g => specs(g).tops(g, cfg.t))).groupBy(x => (x._1, x._2))
+    val tops = Jobs.collectAll(specs.indices.filter(specs(_).k > 0).map(g => specs(g).tops(g, cfg.t))).groupMap(_._1)(_._2)
     specs.zipWithIndex.map { case (p, g) =>
-      val probes = (0 until p.k).map { j =>
-        val drawn = tops.getOrElse((g, j), Array.empty)
-        val least = drawn.map(_._3).minOption
-        drawn.filter(x => least.contains(x._3)).sortBy(_._4).distinctBy(_._4).take(cfg.t).map(_._5).toSeq
-      }
+      val probes = (0 until p.k).map(j => tops.getOrElse((g, j), Array.empty).sortBy(_._1).distinctBy(_._1).take(cfg.t).map(_._2).toSeq)
       Sample(p.plan.schema, probes)
     }
   }
 
   /** Alg. 3's probes of one child, over the columns of its plan. Probe j
-    * filters by search column j: its rows are those whose search value has
-    * the least value hash, the hash of the value salted by (seed, child, j),
-    * so values equal under the column's collation (and -0.0 and 0.0) form
-    * one class. Among them, rows are ranked by the hash of the row with the
-    * same salt. Salting with the child's name keeps children that share rows
-    * from drawing the same rows.
+    * filters by search column j: its rows are ranked by the hash of the
+    * search value salted by (seed, child, j), so rows whose values are equal
+    * under the column's collation (and -0.0 and 0.0) are adjacent, then by
+    * the hash of the row with the same salt. Salting with the child's name
+    * keeps children that share rows from drawing the same rows.
     */
   private final class Probes(child: String, val plan: Plan, cfg: CLPConfig) {
     private val search = {
@@ -203,39 +199,33 @@ object CLP {
     }
     private val salted: Seq[Expression] = search.indices.map(j => hash(salt(j) ++ refs))
 
-    /** For each probe, the partition's least value hash over non-null search
-      * values and the ≤ `t` rows holding it with the smallest salted hashes:
-      * (child, probe, value hash, salted hash, row). A smaller value hash
-      * starts the probe's rows over.
+    /** For each probe, the partition's ≤ `t` smallest (value hash, salted
+      * hash) pairs over rows with a non-null search value, each with one row
+      * holding it: ((child, probe), (pair, row)). The salted hash is computed
+      * only where the value hash can still enter the top `t`, and the row is
+      * copied only where its pair does.
       */
-    def tops(g: Int, t: Int): RDD[(Int, Int, Long, Long, InternalRow)] = {
+    def tops(g: Int, t: Int): RDD[((Int, Int), ((Long, Long), InternalRow))] = {
       val (k, values, salted, refs) = (this.k, this.values, this.salted, this.refs)
       plan.rdd.mapPartitions { it =>
         val (value, key, row) = (UnsafeProjection.create(values), UnsafeProjection.create(salted), UnsafeProjection.create(refs))
-        val least = Array.fill(k)(Long.MaxValue)
-        val best = Array.fill(k)(new java.util.TreeMap[Long, InternalRow]())
+        val order = Ordering[(Long, Long)]
+        val best = Array.fill(k)(new java.util.TreeMap[(Long, Long), InternalRow](order))
         it.foreach { r =>
           val vr = value(r)
           lazy val kr = key(r)
           lazy val copied = row(r).copy()
           for (j <- 0 until k if !vr.isNullAt(j)) {
-            val v = vr.getLong(j)
-            if (v < least(j)) {
-              least(j) = v
-              best(j).clear()
-            }
-            if (v == least(j)) {
-              val h = kr.getLong(j)
-              val top = best(j)
-              if (top.size < t || h < top.lastKey) {
-                top.put(h, copied)
-                if (top.size > t) top.pollLastEntry()
-              }
+            val (v, top) = (vr.getLong(j), best(j))
+            lazy val pair = (v, kr.getLong(j))
+            if (top.size < t || v <= top.lastKey._1 && order.lt(pair, top.lastKey)) {
+              top.put(pair, copied)
+              if (top.size > t) top.pollLastEntry()
             }
           }
         }
         best.iterator.zipWithIndex.flatMap { case (top, j) =>
-          top.asScala.iterator.map { case (h, row) => (g, j, least(j), h, row) }
+          top.asScala.iterator.map(pairRow => ((g, j), pairRow))
         }
       }
     }

@@ -440,14 +440,13 @@ class CLPSpec extends SparkSpec {
   private def valueHash(cs: Seq[Column]): Column =
     ExpressionColumns.column(CollationAwareXxHash64(cs.map(ExpressionColumns.expression), 42L))
 
-  /** Phase (a) as DataFrame queries, per probe: the least value hash over
-    * the search column's non-null values, then the ≤ `t` smallest distinct
-    * salted hashes among the rows holding it. Each salted hash stands for
-    * the class of rows that have it, as their [[rowBits]]: the planned pass
-    * keeps one row of each class, which one depending on the order it reads
-    * them. Unequal rows can share a salted hash: -0.0 hashes as 0.0, a null
-    * and an empty array both leave the hash as it was, and strings equal
-    * under their collation hash alike.
+  /** Phase (a) as DataFrame queries, per probe: the ≤ `t` smallest distinct
+    * (value hash, salted hash) pairs over the rows whose search value is not
+    * null. Each pair stands for the class of rows that have it, as their
+    * [[rowBits]]: the planned pass keeps one row of each class, which one
+    * depending on the order it reads them. Unequal rows can share a pair:
+    * -0.0 hashes as 0.0, a null and an empty array both leave the hash as it
+    * was, and strings equal under their collation hash alike.
     */
   private def oracleSample(child: String, df: DataFrame, tokens: Seq[String], cfg: CLPConfig): Seq[Seq[Set[Seq[Byte]]]] = {
     val cols: Seq[Column] = tokens.map(qcol)
@@ -460,18 +459,15 @@ class CLPSpec extends SparkSpec {
     val search = rng.shuffle(scalar).take(math.max(1, cfg.s))
     search.indices.map { j =>
       val salt = Seq(lit(cfg.seed), lit(child), lit(j))
-      val hashed = df.select(Seq(
-        when(qcol(search(j)).isNotNull, valueHash(salt :+ qcol(search(j)))).as("__value"),
+      val hashed = df.where(qcol(search(j)).isNotNull).select(Seq(
+        valueHash(salt :+ qcol(search(j))).as("__value"),
         valueHash(salt ++ cols).as("__salted"),
       ) ++ cols: _*)
-      val least = hashed.agg(min("__value")).head().get(0)
-      if (least == null) Seq.empty
-      else {
-        val held = hashed.where(col("__value") === least)
-        val salted = held.select("__salted").distinct().orderBy("__salted").limit(cfg.t).collect().map(_.getLong(0))
-        held.where(col("__salted").isin(salted: _*)).collect().toSeq
-          .groupMap(_.getLong(1))(r => rowBits(schema, Row.fromSeq(r.toSeq.drop(2)))).values.map(_.toSet).toSeq
-      }
+      val pairs = hashed.select("__value", "__salted").distinct().orderBy("__value", "__salted").limit(cfg.t)
+        .collect().map(r => (r.getLong(0), r.getLong(1))).toSet
+      hashed.where(col("__salted").isin(pairs.map(_._2).toSeq: _*)).collect().toSeq
+        .groupMap(r => (r.getLong(0), r.getLong(1)))(r => rowBits(schema, Row.fromSeq(r.toSeq.drop(2))))
+        .collect { case (pair, rows) if pairs(pair) => rows.toSet }.toSeq
     }
   }
 
@@ -594,20 +590,38 @@ class CLPSpec extends SparkSpec {
     val schema = StructType(Seq(StructField("n", IntegerType), StructField("s", StringType("UTF8_LCASE"))))
     val child = spark.createDataFrame(rows.asJava, schema)
     val drawn = (0L until 8L).map { seed =>
-      val cfg = CLPConfig(s = 2, t = 10, seed = seed)
+      val cfg = CLPConfig(s = 2, t = 2, seed = seed)
       val (expected, actual) = (oracleSample("c", child, Seq("n", "s"), cfg), sampled(child, Seq("n", "s"), cfg))
       assert(draws(actual, expected), s"seed $seed")
       val probes = actual.probes.map(_.map(r => r.getInt(0) -> r.getUTF8String(1).toString).toSet)
-      // A probe that draws two rows searched `s`: it drew every row equal
-      // to its pivot under the collation, as `===` finds them.
-      for (p <- probes if p.size > 1) {
-        val equal = child.where(col("s") === lit(p.head._2)).collect().map(r => r.getInt(0) -> r.getString(1)).toSet
-        assert(p == equal, s"seed $seed")
-      }
+      // Rows equal under the collation share a value hash, so they are
+      // adjacent in a probe's order. Every class holds at least t = 2 rows,
+      // so the probe that searched `s` drew two rows equal to its first
+      // pivot under the collation, as `===` finds them.
+      val p = probes(new Random(seed ^ "c".hashCode.toLong).shuffle(Seq("n", "s")).indexOf("s"))
+      val equal = child.where(col("s") === lit(p.head._2)).collect().map(r => r.getInt(0) -> r.getString(1)).toSet
+      assert(p.size == 2 && p.subsetOf(equal), s"seed $seed")
       probes.map(_.map(_._2))
     }
     // Some probe's pivot is "a" or "b" in one case and draws the other case too.
     assert(drawn.flatten.exists(vs => vs.size > 1 && vs.map(_.toLowerCase).size == 1), drawn)
+  }
+
+  test("every probe draws min(t, rows whose search value is not null) rows of a near-unique child, at 1 and 7 partitions") {
+    // 200 rows: a unique int, a unique double, and a string that is null
+    // but in 8 rows and holds one of two values there.
+    val child = spark.range(200).select(
+      col("id").cast(IntegerType).as("i"),
+      (col("id") * 1.5 + 0.25).as("d"),
+      when(col("id") % 25 === 0, when(col("id") % 50 === 0, "x").otherwise("y")).as("s"),
+    )
+    val nonNull = Map("i" -> 200, "d" -> 200, "s" -> 8)
+    for (parts <- Seq(1, 7); t <- Seq(1, 5, 10)) {
+      val cfg = CLPConfig(s = 3, t = t, seed = 5)
+      val sample = sampled(child.repartition(parts), Seq("d", "i", "s"), cfg)
+      val search = new Random(cfg.seed ^ "c".hashCode.toLong).shuffle(Seq("d", "i", "s"))
+      assert(sample.probes.map(_.distinct.size) == search.map(c => math.min(t, nonNull(c))), (parts, t, search))
+    }
   }
 
   private lazy val lake = Map(
